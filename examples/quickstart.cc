@@ -58,7 +58,8 @@ main()
     // 3. The pipelined engine: CGOPipe over 4 stream queues with
     //    paged weights and a CPU-side paged KV cache, fronted by the
     //    continuous batcher (Algorithm 2 admits queued requests into
-    //    free micro-batch slots between decode rounds).
+    //    free micro-batch slots at the start of each step; they
+    //    prefill in the same layer sweep that decodes the others).
     EngineConfig ec;
     ec.microBatch = 4;
     ec.maxConcurrency = 6;  // 8 requests -> admission happens in waves
@@ -166,7 +167,7 @@ main()
     engine.submit(cancelMe);
     engine.submit(expireMe);
     engine.submit(plain);
-    (void)engine.step();           // admit; one decode round
+    (void)engine.step();           // admit + prefill: first token
     engine.cancel(cancelMe.id);    // partial tokens come back
     // Arm a one-shot fault on the next KV page allocation (tests use
     // the same injector via MOELIGHT_FAULT or ScopedFault).

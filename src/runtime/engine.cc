@@ -61,14 +61,17 @@ EngineConfig::validate() const
             "requests are held back / actives preempted for it)");
 }
 
-/** Per-round decode plumbing; buffers are reused across rounds. */
+/** Per-round plumbing; buffers are reused across rounds. */
 struct PipelinedEngine::StepState
 {
     /** Active slots this round, flattened micro-batch-major; the
      *  micro-batch partition is [ubStart[j], ubStart[j+1]). */
     std::vector<SlotIdx> rowSlot;
     std::vector<std::size_t> ubStart;
-    std::size_t numUbs = 0;
+    std::size_t numUbs = 0;  ///< 0 in a prefill-only round
+    /** Slots admitted this step: prefilled in the round, decoding
+     *  from the next one. */
+    std::vector<SlotIdx> fresh;
 
     // "GPU" side buffers, one per micro-batch.
     std::vector<std::vector<float>> xGpu;      ///< [ubSize * h1]
@@ -331,8 +334,7 @@ PipelinedEngine::step()
     // (and release pages) before admission, so freed capacity is
     // available to this very round's admission decision.
     processLifecycle(finished);
-    admitPending(finished);
-    decodeActive(finished);
+    runRound(admitPending(), finished);
     return finished;
 }
 
@@ -532,14 +534,14 @@ PipelinedEngine::preemptYoungest()
     }
 }
 
-void
-PipelinedEngine::admitPending(std::vector<RequestOutput> &finished)
+std::vector<SlotIdx>
+PipelinedEngine::admitPending()
 {
     std::vector<ServeRequest> admitted;
     {
         MutexLock lk(frontMu_);
         if (batcher_.pending() == 0)
-            return;
+            return {};
         admitted = batcher_.admit(freeSlots_.size(), kvTokensInUse());
     }
     if (admitted.empty()) {
@@ -570,12 +572,11 @@ PipelinedEngine::admitPending(std::vector<RequestOutput> &finished)
         }
         if (admitted.empty()) {
             if (activeRequests() > 0)
-                return;
+                return {};
             MutexLock lk(frontMu_);
             admitted.push_back(batcher_.admitOne());
         }
     }
-    auto t0 = std::chrono::steady_clock::now();
     std::vector<SlotIdx> fresh;
     fresh.reserve(admitted.size());
     for (ServeRequest &req : admitted) {
@@ -617,46 +618,11 @@ PipelinedEngine::admitPending(std::vector<RequestOutput> &finished)
         for (SlotIdx slot : fresh)
             activeIds_.insert(slots_[slot.value()]->req.id);
     }
-    // Round-scope fault capture: weight-stream or task-body faults
-    // surface at sync() via the executor's firstError_; they can only
-    // have corrupted this round's prefill state, so every fresh slot
-    // retires with Error while already-active sequences (untouched by
-    // prefill) continue.
-    std::string roundError;
-    try {
-        prefillSlots(fresh);
-        exec_->sync();
-    } catch (const std::exception &e) {
-        roundError = e.what();
-    }
-    prefillHidden_.clear();
-    double secs = servingSecondsSince(t0);
-    noteKvUsage();
-    for (SlotIdx slot : fresh) {
-        std::string slotMsg;
-        {
-            MutexLock lk(faultMu_);
-            slotMsg = slotError_[slot.value()];
-        }
-        if (!slotMsg.empty() || !roundError.empty()) {
-            retireTerminal(slot, FinishReason::Error,
-                           slotMsg.empty() ? roundError : slotMsg,
-                           finished);
-            continue;
-        }
-        slots_[slot.value()]->prefillSeconds += secs;
-        // Cache the prompt's closed pages (pin; idempotent for pages
-        // already in the tree) before maybeRetire can free the slot —
-        // pinned pages survive their inserting sequence.
-        if (prefix_)
-            prefix_->insert(seqOf(slot),
-                            slots_[slot.value()]->req.prompt);
-        maybeRetire(slot, finished);
-    }
+    return fresh;
 }
 
-void
-PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
+std::size_t
+PipelinedEngine::preparePrefill(const std::vector<SlotIdx> &slots)
 {
     const ModelConfig &cfg = w_.cfg;
     std::size_t n = slots.size();
@@ -666,8 +632,8 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     // already hold those positions' K/V, and no later position's
     // output depends on a prefix position's hidden state except
     // through them. The tail is never empty (the prefix cache matches
-    // at most prompt-1 tokens), so the bootstrap below always has the
-    // last prompt position's hidden state to sample from.
+    // at most prompt-1 tokens), so the bootstrap always has the last
+    // prompt position's hidden state to sample from.
     prefillHidden_.assign(n, {});
     std::size_t max_prompt = 0;
     for (std::size_t a = 0; a < n; ++a) {
@@ -685,11 +651,10 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                     prompt[as.prefixLen + t])),
                 h1_ * sizeof(float));
     }
-    ensureAttnScratch(max_prompt + 1);
     if (qkv_ && max_prompt > prefillScratchLen_) {
         prefillScratchLen_ = max_prompt;
         // One slot per attention-pool worker: the fused prefill
-        // kernel fans KV heads across the pool.
+        // kernel fans KV heads across the pool when it may borrow it.
         std::size_t worker_slots =
             attnPool_ ? attnPool_->maxParallelism() : 1;
         cpuPrefillScratch_.assign(
@@ -699,7 +664,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
             0.0f);
     }
     // Reserve the per-layer working buffers once to the longest
-    // prompt: the per-seq resizes inside the zigzag tasks then never
+    // prompt: the per-seq resizes inside the prefill tasks then never
     // reallocate, and the buffers persist across layers and rounds.
     pfNorm_.reserve(max_prompt * h1_);
     pfQ_.reserve(max_prompt * qDim_);
@@ -710,247 +675,198 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     pfRl_.reserve(max_prompt * cfg.ne);
     pfFfn_.reserve(max_prompt * h1_);
     pfRouting_.reserve(max_prompt);
-
-    // Zigzag layer-by-layer prefill (§4): load layer weights, then run
-    // every admitted sequence's tokens through that layer on the GPU
-    // queue, appending KV as we go. Weight loads for layer i+2 wait on
-    // layer i's compute (slot reuse).
-    std::vector<SlotIdx> admitted(slots);  // outlives the tasks
-    std::vector<EventPtr> compute_done(cfg.l);
-    for (std::size_t li = 0; li < cfg.l; ++li) {
-        std::vector<EventPtr> load_deps;
-        if (li >= 2 && compute_done[li - 2])
-            load_deps.push_back(compute_done[li - 2]);
-        EventPtr loaded = exec_->submit(
-            ResourceKind::HtoD, std::move(load_deps),
-            [this, li] { store_.loadLayer(LayerIdx(li), te_); });
-
-        std::vector<EventPtr> deps{loaded};
-        if (li > 0)
-            deps.push_back(compute_done[li - 1]);
-        compute_done[li] = exec_->submit(
-            ResourceKind::Gpu, std::move(deps),
-            [this, li, admitted] {
-                const ModelConfig &c = w_.cfg;
-                // Whole-sequence batched projections instead of
-                // per-token GEMV chains; only the attention/KV-append
-                // walk stays per token (causal order). The attention
-                // pool is idle during prefill (the CPU queue has no
-                // work yet), so the batched GEMMs and the MoE FFN
-                // borrow it. Per-token arithmetic is unchanged, so
-                // tokens stay bit-identical to the reference engine.
-                ThreadPool *pool = attnPool_.get();
-                KvViewStorage view;
-                // Working buffers are engine members, reserved to the
-                // longest prompt in prefillSlots(); only this queue's
-                // serialized tasks touch them, so the per-seq resizes
-                // below never reallocate.
-                std::vector<float> &norm_all = pfNorm_;
-                std::vector<float> &q_all = pfQ_;
-                std::vector<float> &k_all = pfK_;
-                std::vector<float> &v_all = pfV_;
-                std::vector<float> &attn_all = pfAttn_;
-                std::vector<float> &proj_all = pfProj_;
-                std::vector<float> &rl_all = pfRl_;
-                std::vector<float> &ffn_all = pfFfn_;
-                std::vector<TokenRouting> &routing = pfRouting_;
-                auto runSeq = [&](std::size_t a, SlotIdx slot) {
-                    // len counts only the novel tail; an attached
-                    // prefix (prefixLen > 0) already sits in the KV
-                    // cache, so this walk starts mid-context.
-                    std::size_t len =
-                        prefillHidden_[a].size() / h1_;
-                    std::size_t prefix =
-                        slots_[slot.value()]->prefixLen;
-                    float *xs = prefillHidden_[a].data();
-                    norm_all.resize(len * h1_);
-                    q_all.resize(len * qDim_);
-                    k_all.resize(len * kvDim_);
-                    v_all.resize(len * kvDim_);
-                    attn_all.resize(len * qDim_);
-                    proj_all.resize(len * h1_);
-                    rl_all.resize(len * c.ne);
-                    ffn_all.resize(len * h1_);
-                    for (std::size_t t = 0; t < len; ++t)
-                        rmsNorm(xs + t * h1_,
-                                store_.tensor(LayerIdx(li), "attn_norm"),
-                                norm_all.data() + t * h1_, h1_);
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "wq"),
-                                      q_all.data(), len, h1_,
-                                      qDim_, pool);
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "wk"),
-                                      k_all.data(), len, h1_,
-                                      kvDim_, pool);
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "wv"),
-                                      v_all.data(), len, h1_,
-                                      kvDim_, pool);
-                    if (qkv_ && prefix == 0) {
-                        // Append the whole prompt, then run the fused
-                        // causal prefill kernel once: each closed
-                        // page dequantizes once per KV head instead
-                        // of once per later position, and the kernel
-                        // replays the per-token append walk bit-for-
-                        // bit (the reference engine's per-token fused
-                        // decode stays the oracle for this).
-                        for (std::size_t t = 0; t < len; ++t)
-                            qkv_->append(seqOf(slot), LayerIdx(li),
-                                         k_all.data() + t * kvDim_,
-                                         v_all.data() + t * kvDim_);
-                        // KV heads fan across the attention pool —
-                        // it idles during prefill otherwise (the CPU
-                        // queue has no work yet) — preserving the
-                        // per-position bit-exact walk.
-                        gqaPrefillAttentionQuantFused(
-                            q_all.data(), k_all.data(), v_all.data(),
-                            len, c.nq,
-                            qkv_->makeQuantView(seqOf(slot),
-                                                LayerIdx(li)),
-                            attn_all.data(), scale_,
-                            cpuPrefillScratch_, pool);
-                    } else if (qkv_) {
-                        // Prefix hit: the fused prefill kernel's walk
-                        // assumes it replays the cache from empty, so
-                        // a mid-context prefill runs the per-token
-                        // fused decode walk instead — append one
-                        // position, attend over the grown view. This
-                        // is the exact walk the fused kernel is
-                        // bit-identical to, just starting at
-                        // `prefix`, so hot tokens match cold ones.
-                        for (std::size_t t = 0; t < len; ++t) {
-                            qkv_->append(seqOf(slot), LayerIdx(li),
-                                         k_all.data() + t * kvDim_,
-                                         v_all.data() + t * kvDim_);
-                            gqaDecodeAttentionQuantFused(
-                                q_all.data() + t * qDim_, c.nq,
-                                qkv_->makeQuantView(seqOf(slot),
-                                                    LayerIdx(li)),
-                                attn_all.data() + t * qDim_,
-                                scale_, cpuAttnScratch_);
-                        }
-                    } else {
-                        for (std::size_t t = 0; t < len; ++t) {
-                            kv_->append(seqOf(slot), LayerIdx(li),
-                                        k_all.data() + t * kvDim_,
-                                        v_all.data() + t * kvDim_);
-                            // The page-pointer list only changes when
-                            // an append opens a new page; between
-                            // boundaries just advance the context
-                            // length instead of rebuilding the view.
-                            // Keyed off the cache's actual length
-                            // (not t) so a prefill over a non-empty
-                            // cache — prefix reuse, say — stays
-                            // correct; t == 0 still always builds
-                            // this (slot, layer)'s first view.
-                            std::size_t ctx_len = kv_->contextLen(
-                                seqOf(slot), LayerIdx(li));
-                            if (t == 0 ||
-                                (ctx_len - 1) % cfg_.kvPageTokens == 0)
-                                kv_->makeView(seqOf(slot),
-                                              LayerIdx(li), view);
-                            else
-                                view.view.contextLen = ctx_len;
-                            gqaDecodeAttention(
-                                q_all.data() + t * qDim_, c.nq,
-                                view.view,
-                                attn_all.data() + t * qDim_,
-                                scale_, cpuAttnScratch_);
-                        }
-                    }
-                    matmulTransposedB(attn_all.data(),
-                                      store_.tensor(LayerIdx(li), "wo"),
-                                      proj_all.data(), len, qDim_,
-                                      h1_, pool);
-                    for (std::size_t t = 0; t < len; ++t) {
-                        accumulate(xs + t * h1_,
-                                   proj_all.data() + t * h1_, h1_);
-                        rmsNorm(xs + t * h1_,
-                                store_.tensor(LayerIdx(li), "ffn_norm"),
-                                norm_all.data() + t * h1_, h1_);
-                    }
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "router"),
-                                      rl_all.data(), len, h1_, c.ne,
-                                      pool);
-                    routing.resize(len);
-                    for (std::size_t t = 0; t < len; ++t)
-                        routing[t] = routeTopK(
-                            {rl_all.data() + t * c.ne, c.ne}, c.k);
-                    moeFfnForward(norm_all.data(), routing,
-                                  store_.resolver(LayerIdx(li)), len, h1_,
-                                  c.h2, ffn_all.data(), pool);
-                    for (std::size_t t = 0; t < len; ++t)
-                        accumulate(xs + t * h1_,
-                                   ffn_all.data() + t * h1_, h1_);
-                };
-                for (std::size_t a = 0; a < admitted.size(); ++a) {
-                    SlotIdx slot = admitted[a];
-                    // Request-scope fault containment: a fault in
-                    // one sequence's prefill (KV append, kernel)
-                    // marks only that slot; co-admitted neighbours
-                    // are untouched because every per-sequence walk
-                    // is independent. A slot that faulted in an
-                    // earlier layer is skipped outright — its KV
-                    // stream is already short, and attention over it
-                    // would read garbage.
-                    if (slotFaulted(slot))
-                        continue;
-                    try {
-                        runSeq(a, slot);
-                    } catch (const FatalError &e) {
-                        noteSlotFault(slot, e.what());
-                    }
-                }
-            });
-    }
-
-    // Bootstrap: sample each admitted request's first generated token
-    // from its prompt's last hidden state. The normed rows pool into
-    // ONE lmHead GEMM (bit-identical per row to the m=1 GEMVs this
-    // replaces; the attention pool is idle between prefill layers, so
-    // the vocab-wide GEMM borrows it).
-    exec_->submit(
-        ResourceKind::Gpu, {compute_done[cfg.l - 1]},
-        [this, admitted] {
-            std::size_t n = admitted.size();
-            bootNorm_.resize(n * h1_);
-            bootLogits_.resize(n * vocab_);
-            for (std::size_t a = 0; a < n; ++a) {
-                std::size_t len = prefillHidden_[a].size() / h1_;
-                rmsNorm(prefillHidden_[a].data() + (len - 1) * h1_,
-                        w_.finalNorm.data(),
-                        bootNorm_.data() + a * h1_, h1_);
-            }
-            matmulTransposedB(bootNorm_.data(), w_.lmHead.data(),
-                              bootLogits_.data(), n, h1_, vocab_,
-                              attnPool_.get());
-            for (std::size_t a = 0; a < n; ++a) {
-                // A faulted sequence's hidden state is garbage (its
-                // prefill was cut short); it retires with Error
-                // after sync, so don't sample a token for it.
-                if (slotFaulted(admitted[a]))
-                    continue;
-                int next = static_cast<int>(
-                    argmax({bootLogits_.data() + a * vocab_,
-                            vocab_}));
-                ActiveSeq &as = *slots_[admitted[a].value()];
-                as.tokens.push_back(next);
-                as.next = next;
-            }
-        });
+    return max_prompt;
 }
 
 void
-PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
+PipelinedEngine::prefillLayer(LayerIdx li,
+                              const std::vector<SlotIdx> &slots,
+                              ThreadPool *pool)
+{
+    const ModelConfig &c = w_.cfg;
+    // Whole-sequence batched projections instead of per-token GEMV
+    // chains; only the attention/KV-append walk stays per token
+    // (causal order). Per-token arithmetic is independent of @p pool,
+    // so tokens stay bit-identical to the reference engine.
+    KvViewStorage view;
+    // Working buffers are engine members, reserved to the longest
+    // prompt in preparePrefill(); only the Gpu queue's serialized
+    // tasks touch them, so the per-seq resizes below never
+    // reallocate.
+    std::vector<float> &norm_all = pfNorm_;
+    std::vector<float> &q_all = pfQ_;
+    std::vector<float> &k_all = pfK_;
+    std::vector<float> &v_all = pfV_;
+    std::vector<float> &attn_all = pfAttn_;
+    std::vector<float> &proj_all = pfProj_;
+    std::vector<float> &rl_all = pfRl_;
+    std::vector<float> &ffn_all = pfFfn_;
+    std::vector<TokenRouting> &routing = pfRouting_;
+    auto runSeq = [&](std::size_t a, SlotIdx slot) {
+        // len counts only the novel tail; an attached prefix
+        // (prefixLen > 0) already sits in the KV cache, so this walk
+        // starts mid-context.
+        std::size_t len = prefillHidden_[a].size() / h1_;
+        std::size_t prefix = slots_[slot.value()]->prefixLen;
+        float *xs = prefillHidden_[a].data();
+        norm_all.resize(len * h1_);
+        q_all.resize(len * qDim_);
+        k_all.resize(len * kvDim_);
+        v_all.resize(len * kvDim_);
+        attn_all.resize(len * qDim_);
+        proj_all.resize(len * h1_);
+        rl_all.resize(len * c.ne);
+        ffn_all.resize(len * h1_);
+        for (std::size_t t = 0; t < len; ++t)
+            rmsNorm(xs + t * h1_, store_.tensor(li, "attn_norm"),
+                    norm_all.data() + t * h1_, h1_);
+        matmulTransposedB(norm_all.data(), store_.tensor(li, "wq"),
+                          q_all.data(), len, h1_, qDim_, pool);
+        matmulTransposedB(norm_all.data(), store_.tensor(li, "wk"),
+                          k_all.data(), len, h1_, kvDim_, pool);
+        matmulTransposedB(norm_all.data(), store_.tensor(li, "wv"),
+                          v_all.data(), len, h1_, kvDim_, pool);
+        if (qkv_ && prefix == 0) {
+            // Append the whole prompt, then run the fused causal
+            // prefill kernel once: each closed page dequantizes once
+            // per KV head instead of once per later position, and the
+            // kernel replays the per-token append walk bit-for-bit
+            // (the reference engine's per-token fused decode stays the
+            // oracle for this). KV heads fan across @p pool when the
+            // round lets the prefill borrow it.
+            for (std::size_t t = 0; t < len; ++t)
+                qkv_->append(seqOf(slot), li,
+                             k_all.data() + t * kvDim_,
+                             v_all.data() + t * kvDim_);
+            gqaPrefillAttentionQuantFused(
+                q_all.data(), k_all.data(), v_all.data(), len, c.nq,
+                qkv_->makeQuantView(seqOf(slot), li), attn_all.data(),
+                scale_, cpuPrefillScratch_, pool);
+        } else if (qkv_) {
+            // Prefix hit: the fused prefill kernel's walk assumes it
+            // replays the cache from empty, so a mid-context prefill
+            // runs the per-token fused decode walk instead — append
+            // one position, attend over the grown view. This is the
+            // exact walk the fused kernel is bit-identical to, just
+            // starting at `prefix`, so hot tokens match cold ones.
+            for (std::size_t t = 0; t < len; ++t) {
+                qkv_->append(seqOf(slot), li,
+                             k_all.data() + t * kvDim_,
+                             v_all.data() + t * kvDim_);
+                gqaDecodeAttentionQuantFused(
+                    q_all.data() + t * qDim_, c.nq,
+                    qkv_->makeQuantView(seqOf(slot), li),
+                    attn_all.data() + t * qDim_, scale_,
+                    cpuAttnScratch_);
+            }
+        } else {
+            for (std::size_t t = 0; t < len; ++t) {
+                kv_->append(seqOf(slot), li,
+                            k_all.data() + t * kvDim_,
+                            v_all.data() + t * kvDim_);
+                // The page-pointer list only changes when an append
+                // opens a new page; between boundaries just advance
+                // the context length instead of rebuilding the view.
+                // Keyed off the cache's actual length (not t) so a
+                // prefill over a non-empty cache — prefix reuse, say
+                // — stays correct; t == 0 still always builds this
+                // (slot, layer)'s first view.
+                std::size_t ctx_len = kv_->contextLen(seqOf(slot), li);
+                if (t == 0 || (ctx_len - 1) % cfg_.kvPageTokens == 0)
+                    kv_->makeView(seqOf(slot), li, view);
+                else
+                    view.view.contextLen = ctx_len;
+                gqaDecodeAttention(q_all.data() + t * qDim_, c.nq,
+                                   view.view,
+                                   attn_all.data() + t * qDim_, scale_,
+                                   cpuAttnScratch_);
+            }
+        }
+        matmulTransposedB(attn_all.data(), store_.tensor(li, "wo"),
+                          proj_all.data(), len, qDim_, h1_, pool);
+        for (std::size_t t = 0; t < len; ++t) {
+            accumulate(xs + t * h1_, proj_all.data() + t * h1_, h1_);
+            rmsNorm(xs + t * h1_, store_.tensor(li, "ffn_norm"),
+                    norm_all.data() + t * h1_, h1_);
+        }
+        matmulTransposedB(norm_all.data(), store_.tensor(li, "router"),
+                          rl_all.data(), len, h1_, c.ne, pool);
+        routing.resize(len);
+        for (std::size_t t = 0; t < len; ++t)
+            routing[t] =
+                routeTopK({rl_all.data() + t * c.ne, c.ne}, c.k);
+        moeFfnForward(norm_all.data(), routing, store_.resolver(li),
+                      len, h1_, c.h2, ffn_all.data(), pool);
+        for (std::size_t t = 0; t < len; ++t)
+            accumulate(xs + t * h1_, ffn_all.data() + t * h1_, h1_);
+    };
+    for (std::size_t a = 0; a < slots.size(); ++a) {
+        SlotIdx slot = slots[a];
+        // Request-scope fault containment: a fault in one sequence's
+        // prefill (KV append, kernel) marks only that slot; co-
+        // admitted neighbours are untouched because every
+        // per-sequence walk is independent. A slot that faulted in an
+        // earlier layer is skipped outright — its KV stream is
+        // already short, and attention over it would read garbage.
+        if (slotFaulted(slot))
+            continue;
+        try {
+            runSeq(a, slot);
+        } catch (const FatalError &e) {
+            noteSlotFault(slot, e.what());
+        }
+    }
+}
+
+void
+PipelinedEngine::samplePrefilled(const std::vector<SlotIdx> &slots,
+                                 ThreadPool *pool)
+{
+    // Sample each admitted request's first generated token from its
+    // prompt's last hidden state. The normed rows pool into ONE
+    // lmHead GEMM (bit-identical per row to m=1 GEMVs).
+    std::size_t n = slots.size();
+    bootNorm_.resize(n * h1_);
+    bootLogits_.resize(n * vocab_);
+    for (std::size_t a = 0; a < n; ++a) {
+        std::size_t len = prefillHidden_[a].size() / h1_;
+        rmsNorm(prefillHidden_[a].data() + (len - 1) * h1_,
+                w_.finalNorm.data(), bootNorm_.data() + a * h1_, h1_);
+    }
+    matmulTransposedB(bootNorm_.data(), w_.lmHead.data(),
+                      bootLogits_.data(), n, h1_, vocab_, pool);
+    for (std::size_t a = 0; a < n; ++a) {
+        // A faulted sequence's hidden state is garbage (its prefill
+        // was cut short); it retires with Error after sync, so don't
+        // sample a token for it.
+        if (slotFaulted(slots[a]))
+            continue;
+        int next = static_cast<int>(
+            argmax({bootLogits_.data() + a * vocab_, vocab_}));
+        ActiveSeq &as = *slots_[slots[a].value()];
+        as.tokens.push_back(next);
+        as.next = next;
+    }
+}
+
+void
+PipelinedEngine::runRound(std::vector<SlotIdx> fresh,
+                          std::vector<RequestOutput> &finished)
 {
     StepState &st = *st_;
+    st.fresh = std::move(fresh);
+    // Decode rows: every occupied slot except this step's
+    // admissions. An admitted request's first decode embeds the token
+    // its last-layer prefill samples, so it cannot ride the same
+    // sweep; it starts decoding next step.
+    std::vector<bool> isFresh(slots_.size(), false);
+    for (SlotIdx slot : st.fresh)
+        isFresh[slot.value()] = true;
     st.rowSlot.clear();
     for (std::size_t slot = 0; slot < slots_.size(); ++slot)
-        if (slots_[slot])
+        if (slots_[slot] && !isFresh[slot])
             st.rowSlot.push_back(SlotIdx(slot));
-    if (st.rowSlot.empty())
+    if (st.rowSlot.empty() && st.fresh.empty())
         return;
 
     auto t0 = std::chrono::steady_clock::now();
@@ -984,83 +900,121 @@ PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
         }
     }
 
-    std::size_t max_ctx = 1;
+    std::size_t max_ctx = preparePrefill(st.fresh) + 1;
     for (SlotIdx slot : st.rowSlot)
         max_ctx = std::max(max_ctx, kvContextLen(slot) + 1);
     ensureAttnScratch(max_ctx);
 
-    std::size_t layers = w_.cfg.l;
-    st.weightsReady.assign(layers, nullptr);
-    st.postPerUb.assign(st.numUbs, nullptr);
-    st.slotBusy.assign(store_.numSlots(), nullptr);
-    st.cattn.assign(layers, std::vector<EventPtr>(st.numUbs));
-
-    // Preload layers 0 and 1; the prior round (or the admission
-    // prefill) synced, so the weight slots are free. Readiness is the
-    // task's own completion event — the worker signals it on every
-    // path, error and injected-fault included, so a failed load can
-    // never leave dependents waiting (a hand-signaled event inside
-    // the body would: an exec.task fault kills the body before its
-    // first statement). The error itself surfaces at sync().
-    for (std::size_t t = 0; t < std::min<std::size_t>(2, layers);
-         ++t)
-        st.weightsReady[t] = exec_->submit(
-            ResourceKind::HtoD, {},
-            [this, t] { store_.loadLayer(LayerIdx(t), te_); });
-
-    // Per-slot token counts before the round: a slot retired on a
-    // mid-round fault must not report the garbage token the round's
-    // sampler may still have pushed for it.
+    // Everyone in the round, admissions first. Per-slot token counts
+    // before the round: a slot retired on a mid-round fault must not
+    // report a token the round's sampler may still have pushed.
+    std::vector<SlotIdx> members(st.fresh);
+    members.insert(members.end(), st.rowSlot.begin(), st.rowSlot.end());
     std::vector<std::size_t> tokBefore(slots_.size(), 0);
-    for (SlotIdx slot : st.rowSlot)
+    for (SlotIdx slot : members)
         tokBefore[slot.value()] = slots_[slot.value()]->tokens.size();
 
     // Round-scope fault capture: weight-stream and task-body faults
     // reach sync() via the executor's firstError_. Such a fault
     // leaves this round's pipeline state (hidden buffers, weight
-    // slots) unreliable for every participant, so the whole round
-    // retires with Error; the engine itself stays serviceable (the
-    // next round preloads weights afresh). Per-slot KV faults caught
-    // inside the offload task stay request-scope.
+    // slots) unreliable for every participant, so the whole round —
+    // decoding and newly admitted requests alike — retires with
+    // Error; the engine itself stays serviceable (the next round
+    // preloads weights afresh). Per-slot KV and prefill faults stay
+    // request-scope.
     std::string roundError;
     try {
-        runDecodeChains(st);
+        launchRound(st);
         exec_->sync();
     } catch (const std::exception &e) {
         roundError = e.what();
     }
+    prefillHidden_.clear();
     double secs = servingSecondsSince(t0);
     noteKvUsage();
-    for (SlotIdx slot : st.rowSlot)
-        slots_[slot.value()]->decodeSeconds += secs;
-    for (SlotIdx slot : st.rowSlot) {
+    for (SlotIdx slot : members) {
+        ActiveSeq &a = *slots_[slot.value()];
+        (isFresh[slot.value()] ? a.prefillSeconds : a.decodeSeconds) +=
+            secs;
         std::string slotMsg;
         {
             MutexLock lk(faultMu_);
             slotMsg = slotError_[slot.value()];
         }
         if (!slotMsg.empty() || !roundError.empty()) {
-            ActiveSeq &a = *slots_[slot.value()];
             a.tokens.resize(tokBefore[slot.value()]);
             retireTerminal(slot, FinishReason::Error,
                            slotMsg.empty() ? roundError : slotMsg,
                            finished);
             continue;
         }
+        // Cache the prompt's closed pages (pin; idempotent for pages
+        // already in the tree) before maybeRetire can free the slot —
+        // pinned pages survive their inserting sequence.
+        if (prefix_ && isFresh[slot.value()])
+            prefix_->insert(seqOf(slot), a.req.prompt);
         maybeRetire(slot, finished);
     }
 }
 
 void
-PipelinedEngine::runDecodeChains(StepState &st)
+PipelinedEngine::launchRound(StepState &st)
 {
     const ModelConfig &cfg = w_.cfg;
     std::size_t layers = cfg.l;
     std::size_t ubs = st.numUbs;
     std::size_t total = layers * ubs;
     std::size_t la = std::min<std::size_t>(cfg_.lookahead, ubs);
+    // The weight stream splits each layer into one chunk per decode
+    // micro-batch; a round with no decoding slots streams a layer as
+    // a single chunk.
+    std::size_t chunks = std::max<std::size_t>(ubs, 1);
+    bool prefill = !st.fresh.empty();
+    // The CPU queue's attention owns attnPool_ whenever the round has
+    // decode micro-batches (ThreadPool forbids concurrent dispatch),
+    // so the prefill borrows it only in a prefill-only round.
+    ThreadPool *pf_pool = ubs == 0 ? attnPool_.get() : nullptr;
+
+    st.weightsReady.assign(layers, nullptr);
+    st.postPerUb.assign(ubs, nullptr);
+    st.slotBusy.assign(store_.numSlots(), nullptr);
+    st.cattn.assign(layers, std::vector<EventPtr>(ubs));
+
+    // Preload layers 0 and 1; the prior round synced, so the weight
+    // slots are free. Readiness is the task's own completion event —
+    // the worker signals it on every path, error and injected-fault
+    // included, so a failed load can never leave dependents waiting
+    // (a hand-signaled event inside the body would: an exec.task
+    // fault kills the body before its first statement). The error
+    // itself surfaces at sync().
+    for (std::size_t t = 0; t < std::min<std::size_t>(2, layers);
+         ++t)
+        st.weightsReady[t] = exec_->submit(
+            ResourceKind::HtoD, {},
+            [this, t] { store_.loadLayer(LayerIdx(t), te_); });
+
+    // Prefill(i) runs every admitted prompt through layer i on the
+    // Gpu queue, appending its KV. Page-table mutations must stay
+    // serial: prefill(i) waits on every OffloadQKV(i, ·) (the DtoH
+    // worker's decode appends), and the Gpu FIFO runs it before every
+    // PreAttn(i+1, ·), hence before every OffloadQKV(i+1, ·). It
+    // also precedes PostAttn(i, last) in that FIFO, so that task's
+    // slot-reuse event covers it; without decode chains the prefill's
+    // own event guards the weight slot.
+    auto submit_prefill = [&](std::size_t i,
+                              std::vector<EventPtr> deps) {
+        deps.push_back(st.weightsReady[i]);
+        EventPtr done = exec_->submit(
+            ResourceKind::Gpu, std::move(deps),
+            [this, &st, i, pf_pool] {
+                prefillLayer(LayerIdx(i), st.fresh, pf_pool);
+            });
+        if (ubs == 0)
+            st.slotBusy[i % store_.numSlots()] = done;
+    };
 
     std::size_t next_chain = 0;
+    std::vector<EventPtr> layer_offs;
     // Launch the Pre -> OffloadQKV -> CPUAttn chain for linear index
     // m (layer-major). Dependencies: this layer's weights and this
     // micro-batch's hidden state from the previous layer (layer 0's
@@ -1176,6 +1130,13 @@ PipelinedEngine::runDecodeChains(StepState &st)
                     st.attnCpu[j].data(), qDim_, scale_,
                     attnPool_.get(), cpuBatchScratch_);
             });
+
+        if (prefill) {
+            layer_offs.push_back(off);
+            if (j + 1 == ubs)
+                submit_prefill(i, std::move(layer_offs));
+            layer_offs.clear();
+        }
     };
     auto pump = [&](std::size_t up_to) {
         while (next_chain < total && next_chain <= up_to)
@@ -1187,106 +1148,123 @@ PipelinedEngine::runDecodeChains(StepState &st)
     // the main loop below).
     pump(la - 1);
 
-    for (std::size_t m = 0; m < total; ++m) {
-        std::size_t i = m / ubs, j = m % ubs;
-        pump(m);  // ensure this chain exists
-
-        // LoadH(i, j): attention output back to the GPU.
-        EventPtr loadh = exec_->submit(
-            ResourceKind::HtoD, {st.cattn[i][j]}, [this, &st, j] {
-                std::size_t n = st.ubSize(j);
-                te_.copyToGpu(st.attnCpu[j].data(),
-                              st.attnGpu[j].data(), n * qDim_);
-            });
-
-        // Interleaved weight pages for the next layer. Chunk j covers
-        // an equal share of the layer's pages. Layers 0 and 1 were
-        // preloaded for this round, and the round ends after the last
-        // layer (admission may change the batch before the next one),
-        // so the wrap-around tail is skipped.
-        std::size_t target = (i + 1) % layers;
-        bool preloaded = i == 0;
-        bool skip_tail = i == layers - 1;
-        if (!preloaded && !skip_tail) {
-            std::size_t pages = store_.pagesPerLayer();
-            std::size_t lo = pages * j / ubs;
-            std::size_t hi = pages * (j + 1) / ubs;
-            if (j == 0) {
-                // Fresh readiness event for the incoming layer; it
-                // must exist NOW — the pump's lookahead can launch
-                // layer `target` chains (which depend on it) before
-                // the last chunk task below is submitted. The slot it
-                // overwrites must have retired.
-                st.weightsReady[target] = std::make_shared<TaskEvent>();
+    for (std::size_t i = 0; i < layers; ++i) {
+        if (prefill && ubs == 0)
+            submit_prefill(i, {});
+        for (std::size_t j = 0; j < chunks; ++j) {
+            std::size_t m = i * ubs + j;
+            EventPtr loadh;
+            if (ubs > 0) {
+                pump(m);  // ensure this chain exists
+                // LoadH(i, j): attention output back to the GPU.
+                loadh = exec_->submit(
+                    ResourceKind::HtoD, {st.cattn[i][j]},
+                    [this, &st, j] {
+                        std::size_t n = st.ubSize(j);
+                        te_.copyToGpu(st.attnCpu[j].data(),
+                                      st.attnGpu[j].data(),
+                                      n * qDim_);
+                    });
             }
-            std::vector<EventPtr> wdeps;
-            std::size_t slot = target % store_.numSlots();
-            // The slot-retired dependency belongs to the *first
-            // non-empty* chunk (lo == 0 && hi > 0): with more
-            // micro-batches than weight pages, chunk j == 0 is empty
-            // and pinning the dependency to it would let the first
-            // real load overwrite the slot while the previous
-            // occupant's PostAttn tasks still read it. Later chunks
-            // are ordered behind the first one by the HtoD FIFO.
-            if (lo == 0 && hi > 0 && st.slotBusy[slot])
-                wdeps.push_back(st.slotBusy[slot]);
-            // The last chunk publishes layer readiness via the
-            // executor's alsoSignal guarantee (signaled on every
-            // path): the HtoD FIFO ensures the earlier chunks retired
-            // first, and a failed or fault-injected load surfaces at
-            // sync() instead of leaving dependents waiting forever —
-            // signaling from inside the task body would deadlock
-            // whenever the body dies before reaching the signal.
-            bool last_chunk = j + 1 == ubs;
-            std::vector<EventPtr> publish;
-            if (last_chunk)
-                publish.push_back(st.weightsReady[target]);
-            exec_->submit(
-                ResourceKind::HtoD, std::move(wdeps),
-                [this, target, lo, hi] {
-                    for (std::size_t p = lo; p < hi; ++p)
-                        store_.loadPage(LayerIdx(target), p, te_);
-                },
-                std::move(publish));
-        }
 
-        // PostAttn(i, j): O projection + residual + router + MoE FFN;
-        // on the last layer also sample the round's token per row.
-        std::vector<EventPtr> post_deps{loadh};
-        if (st.weightsReady[i])
-            post_deps.push_back(st.weightsReady[i]);
-        bool last_layer = i == layers - 1;
-        EventPtr post = exec_->submit(
-            ResourceKind::Gpu, std::move(post_deps),
-            [this, &st, i, j, last_layer] {
-                const ModelConfig &c = w_.cfg;
-                std::size_t n = st.ubSize(j);
-                // Batched O projection, router and MoE FFN across the
-                // micro-batch; per-token arithmetic matches the
-                // reference engine's m=1 calls bit-for-bit.
-                matmulTransposedB(st.attnGpu[j].data(),
-                                  store_.tensor(LayerIdx(i), "wo"),
-                                  gpuProjB_.data(), n, qDim_, h1_);
-                for (std::size_t r = 0; r < n; ++r) {
-                    float *x = st.xGpu[j].data() + r * h1_;
-                    accumulate(x, gpuProjB_.data() + r * h1_, h1_);
-                    rmsNorm(x, store_.tensor(LayerIdx(i), "ffn_norm"),
-                            gpuNormB_.data() + r * h1_, h1_);
+            // Interleaved weight pages for the next layer. Chunk j
+            // covers an equal share of the layer's pages. Layers 0
+            // and 1 were preloaded for this round, and the round ends
+            // after the last layer (admission may change the batch
+            // before the next one), so the wrap-around tail is
+            // skipped.
+            std::size_t target = (i + 1) % layers;
+            bool preloaded = i == 0;
+            bool skip_tail = i == layers - 1;
+            if (!preloaded && !skip_tail) {
+                std::size_t pages = store_.pagesPerLayer();
+                std::size_t lo = pages * j / chunks;
+                std::size_t hi = pages * (j + 1) / chunks;
+                if (j == 0) {
+                    // Fresh readiness event for the incoming layer;
+                    // it must exist NOW — the pump's lookahead can
+                    // launch layer `target` chains (which depend on
+                    // it) before the last chunk task below is
+                    // submitted. The slot it overwrites must have
+                    // retired.
+                    st.weightsReady[target] =
+                        std::make_shared<TaskEvent>();
                 }
-                matmulTransposedB(gpuNormB_.data(),
-                                  store_.tensor(LayerIdx(i), "router"),
-                                  gpuRlB_.data(), n, h1_, c.ne);
-                std::vector<TokenRouting> routing(n);
-                for (std::size_t r = 0; r < n; ++r)
-                    routing[r] = routeTopK(
-                        {gpuRlB_.data() + r * c.ne, c.ne}, c.k);
-                moeFfnForward(gpuNormB_.data(), routing,
-                              store_.resolver(LayerIdx(i)), n, h1_, c.h2,
-                              gpuFfnB_.data());
-                for (std::size_t r = 0; r < n; ++r)
-                    accumulate(st.xGpu[j].data() + r * h1_,
-                               gpuFfnB_.data() + r * h1_, h1_);
-                if (last_layer) {
+                std::vector<EventPtr> wdeps;
+                std::size_t slot = target % store_.numSlots();
+                // The slot-retired dependency belongs to the *first
+                // non-empty* chunk (lo == 0 && hi > 0): with more
+                // micro-batches than weight pages, chunk j == 0 is
+                // empty and pinning the dependency to it would let
+                // the first real load overwrite the slot while the
+                // previous occupant's Gpu tasks still read it. Later
+                // chunks are ordered behind the first one by the HtoD
+                // FIFO.
+                if (lo == 0 && hi > 0 && st.slotBusy[slot])
+                    wdeps.push_back(st.slotBusy[slot]);
+                // The last chunk publishes layer readiness via the
+                // executor's alsoSignal guarantee (signaled on every
+                // path): the HtoD FIFO ensures the earlier chunks
+                // retired first, and a failed or fault-injected load
+                // surfaces at sync() instead of leaving dependents
+                // waiting forever — signaling from inside the task
+                // body would deadlock whenever the body dies before
+                // reaching the signal.
+                std::vector<EventPtr> publish;
+                if (j + 1 == chunks)
+                    publish.push_back(st.weightsReady[target]);
+                exec_->submit(
+                    ResourceKind::HtoD, std::move(wdeps),
+                    [this, target, lo, hi] {
+                        for (std::size_t p = lo; p < hi; ++p)
+                            store_.loadPage(LayerIdx(target), p, te_);
+                    },
+                    std::move(publish));
+            }
+            if (ubs == 0)
+                continue;
+
+            // PostAttn(i, j): O projection + residual + router + MoE
+            // FFN; on the last layer also sample the round's token
+            // per row.
+            std::vector<EventPtr> post_deps{loadh};
+            if (st.weightsReady[i])
+                post_deps.push_back(st.weightsReady[i]);
+            bool last_layer = i == layers - 1;
+            EventPtr post = exec_->submit(
+                ResourceKind::Gpu, std::move(post_deps),
+                [this, &st, i, j, last_layer] {
+                    const ModelConfig &c = w_.cfg;
+                    std::size_t n = st.ubSize(j);
+                    // Batched O projection, router and MoE FFN across
+                    // the micro-batch; per-token arithmetic matches
+                    // the reference engine's m=1 calls bit-for-bit.
+                    matmulTransposedB(st.attnGpu[j].data(),
+                                      store_.tensor(LayerIdx(i), "wo"),
+                                      gpuProjB_.data(), n, qDim_, h1_);
+                    for (std::size_t r = 0; r < n; ++r) {
+                        float *x = st.xGpu[j].data() + r * h1_;
+                        accumulate(x, gpuProjB_.data() + r * h1_, h1_);
+                        rmsNorm(x,
+                                store_.tensor(LayerIdx(i), "ffn_norm"),
+                                gpuNormB_.data() + r * h1_, h1_);
+                    }
+                    matmulTransposedB(
+                        gpuNormB_.data(),
+                        store_.tensor(LayerIdx(i), "router"),
+                        gpuRlB_.data(), n, h1_, c.ne);
+                    std::vector<TokenRouting> routing(n);
+                    for (std::size_t r = 0; r < n; ++r)
+                        routing[r] = routeTopK(
+                            {gpuRlB_.data() + r * c.ne, c.ne}, c.k);
+                    moeFfnForward(gpuNormB_.data(), routing,
+                                  store_.resolver(LayerIdx(i)), n, h1_,
+                                  c.h2, gpuFfnB_.data());
+                    for (std::size_t r = 0; r < n; ++r)
+                        accumulate(st.xGpu[j].data() + r * h1_,
+                                   gpuFfnB_.data() + r * h1_, h1_);
+                    if (!last_layer)
+                        return;
                     // Batched lmHead sampling: one micro-batch-wide
                     // GEMM instead of per-row m=1 GEMVs — the GEMM's
                     // per-row arithmetic is m-independent, so every
@@ -1304,8 +1282,7 @@ PipelinedEngine::runDecodeChains(StepState &st)
                                       gpuLogitsB_.data(), n, h1_,
                                       vocab_);
                     for (std::size_t r = 0; r < n; ++r) {
-                        SlotIdx slot =
-                            st.rowSlot[st.ubStart[j] + r];
+                        SlotIdx slot = st.rowSlot[st.ubStart[j] + r];
                         int next = static_cast<int>(argmax(
                             {gpuLogitsB_.data() + r * vocab_,
                              vocab_}));
@@ -1313,15 +1290,23 @@ PipelinedEngine::runDecodeChains(StepState &st)
                         a.tokens.push_back(next);
                         a.next = next;
                     }
-                }
-            });
+                });
 
-        st.postPerUb[j] = post;
-        if (j + 1 == ubs)
-            st.slotBusy[i % store_.numSlots()] = post;
+            st.postPerUb[j] = post;
+            if (j + 1 == ubs)
+                st.slotBusy[i % store_.numSlots()] = post;
 
-        pump(m + la);
+            pump(m + la);
+        }
     }
+
+    // Bootstrap: after the last layer's prefill (Gpu FIFO), sample
+    // each admitted request's first generated token.
+    if (prefill)
+        exec_->submit(ResourceKind::Gpu, {},
+                      [this, &st, pf_pool] {
+                          samplePrefilled(st.fresh, pf_pool);
+                      });
 }
 
 } // namespace moelight

@@ -12,12 +12,15 @@
  *
  * The public surface is the request-level serving API (serving.hh):
  * the engine holds a fixed pool of sequence slots, and every step()
- * is one continuous-batching round — Algorithm 2 admits queued
- * requests into free micro-batch slots, the admitted prompts prefill,
- * every active sequence decodes one token through the Algorithm 1
- * pipeline, and finished sequences retire immediately, releasing
- * their KV pages (float or quantized) back to the pool mid-flight
- * while the rest keep generating.
+ * is one continuous-batching round with one layer sweep and one
+ * weight stream. Algorithm 2 admits queued requests into free slots;
+ * as each layer's weights arrive they serve both the Algorithm 1
+ * decode chains of the already-active sequences (one token each) and
+ * the prefill of the admitted prompts, whose first token is sampled
+ * after the last layer — they start decoding in the next step.
+ * Finished sequences retire immediately, releasing their KV pages
+ * (float or quantized) back to the pool mid-flight while the rest
+ * keep generating.
  *
  * Functional contract: identical greedy tokens to ReferenceEngine
  * per request for identical weights and KV geometry, regardless of
@@ -188,13 +191,27 @@ class PipelinedEngine : public Engine
         double decodeSeconds = 0.0;
     };
 
-    /** Per-round decode plumbing (buffers reused across rounds). */
+    /** Per-round plumbing (buffers reused across rounds). */
     struct StepState;
 
-    void admitPending(std::vector<RequestOutput> &finished);
-    void prefillSlots(const std::vector<SlotIdx> &slots);
-    void decodeActive(std::vector<RequestOutput> &finished);
-    void runDecodeChains(StepState &st);
+    /** Place admitted requests into free slots; returns them. */
+    std::vector<SlotIdx> admitPending();
+    /** One step's round: prefill @p fresh and decode every other
+     *  active slot in one layer sweep, then retire. */
+    void runRound(std::vector<SlotIdx> fresh,
+                  std::vector<RequestOutput> &finished);
+    /** Submit the round's tasks: the weight stream, the decode
+     *  chains and the per-layer prefill. */
+    void launchRound(StepState &st);
+    /** Embed the admitted prompts and size the prefill buffers;
+     *  returns the longest prompt. */
+    std::size_t preparePrefill(const std::vector<SlotIdx> &slots);
+    /** Task body: run every admitted prompt through layer @p li. */
+    void prefillLayer(LayerIdx li, const std::vector<SlotIdx> &slots,
+                      ThreadPool *pool);
+    /** Task body: sample each admitted request's first token. */
+    void samplePrefilled(const std::vector<SlotIdx> &slots,
+                         ThreadPool *pool);
     void maybeRetire(SlotIdx slot,
                      std::vector<RequestOutput> &finished);
     void processLifecycle(std::vector<RequestOutput> &finished);
@@ -285,8 +302,8 @@ class PipelinedEngine : public Engine
     std::size_t prefillScratchLen_ = 0;
     std::vector<std::vector<float>> prefillHidden_;
     // Prefill per-layer working buffers (reserved once per admission
-    // round to the longest prompt; only the zigzag's serialized GPU
-    // tasks touch them).
+    // round to the longest prompt; only the Gpu queue's serialized
+    // prefill tasks touch them).
     std::vector<float> pfNorm_, pfQ_, pfK_, pfV_;
     std::vector<float> pfAttn_, pfProj_, pfRl_, pfFfn_;
     std::vector<TokenRouting> pfRouting_;

@@ -31,9 +31,10 @@
  * Single-threaded-by-contract: no internal locking. The table IS
  * reached from several threads — decode appends run on the DtoH
  * queue worker, prefill appends on the Gpu queue worker, admission /
- * retirement / prefix attach on the driver thread — but the engines'
- * phase structure (task events within a round, exec_->sync() between
- * phases) serializes every access. Debug builds assert that
+ * retirement / prefix attach on the thread calling step() — but the
+ * engines serialize every mutation: task events order a round's
+ * prefill and decode appends, and exec_->sync() separates rounds from
+ * the step() thread's own work. Debug builds assert that
  * serialization on each mutating call (see DebugSerialGate in
  * common/sync.hh and docs/concurrency.md).
  */

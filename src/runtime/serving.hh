@@ -4,9 +4,9 @@
  * A.2) exists to serve many concurrent requests, so the public
  * surface is request-centric: callers submit() individual
  * ServeRequests (each with its own generation budget and stop
- * tokens), drive the engine with step() — one decode round per call,
- * with admission of queued requests and retirement of finished ones
- * happening between rounds — and receive RequestOutputs as sequences
+ * tokens), drive the engine with step() — one serving round per
+ * call: queued requests are admitted, active ones advance by a
+ * token, finished ones retire — and receive RequestOutputs as sequences
  * finish, Orca/vLLM-style continuous batching rather than a single
  * blocking batch call. The legacy batch generate() survives as a
  * thin convenience wrapper over submit()/drain().
@@ -97,8 +97,8 @@ struct RequestOutput
      *  recomputed; its tokens are unaffected (bit-identical to an
      *  uncontended run). */
     int preemptions = 0;
-    /** Wall seconds of the prefill round that admitted this request
-     *  (shared by every request admitted in the same round). */
+    /** Wall seconds of the round that admitted and prefilled this
+     *  request (shared by everyone in that round). */
     double prefillSeconds = 0.0;
     /** Wall seconds summed over the decode rounds this request was
      *  active in (shared by the round's co-batch). */

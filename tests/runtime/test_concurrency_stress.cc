@@ -144,6 +144,88 @@ TEST(ConcurrencyStress, PipelinedUnderKvPressureWithPreemption)
     EXPECT_EQ(eng.kvUsedPages(), 0u);
 }
 
+TEST(ConcurrencyStress, PipelinedStaggeredSubmitMixedRounds)
+{
+    // A producer trickles requests in while this thread steps, so most
+    // admissions land in mixed rounds: the admitted prompts' prefill
+    // appends KV on the Gpu worker in the same round as the decode
+    // appends on the DtoH worker and the pooled CPU attention. With a
+    // shared prompt prefix, prefill also attaches cached pages and
+    // inserts new ones. Tokens must still match the reference.
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 45);
+    EngineConfig ec;
+    ec.microBatch = 2;
+    ec.kvPageTokens = 4;
+    ec.maxConcurrency = 4;
+    ec.cpuAttnThreads = 2;
+    ec.prefixCache = true;
+    PipelinedEngine eng(w, ec);
+
+    constexpr int kRequests = 12;
+    std::vector<int> shared = makePrompt(w.cfg, 8, 500);
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < kRequests; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt = shared;
+        std::vector<int> tail =
+            makePrompt(w.cfg, 1 + static_cast<std::size_t>(i % 4),
+                       static_cast<std::uint64_t>(i) + 501);
+        r.prompt.insert(r.prompt.end(), tail.begin(), tail.end());
+        r.maxNewTokens = 6 + i % 5;
+        reqs.push_back(std::move(r));
+    }
+
+    std::atomic<bool> stop{false};
+    std::thread producer([&] {
+        for (const ServeRequest &r : reqs) {
+            // After the first, submit only while something decodes.
+            while (r.id > 0 && eng.activeRequests() == 0 &&
+                   !stop.load())
+                std::this_thread::yield();
+            eng.submit(r);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+
+    std::map<std::int64_t, std::vector<int>> got;
+    int mixed_rounds = 0;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(2);
+    while (got.size() < static_cast<std::size_t>(kRequests)) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            ADD_FAILURE() << "engine stalled";
+            break;
+        }
+        // Only step() changes the active set, so this count is exact.
+        std::size_t active_before = eng.activeRequests();
+        std::vector<RequestOutput> outs = eng.step();
+        std::size_t admitted =
+            eng.activeRequests() + outs.size() - active_before;
+        if (admitted > 0 && active_before > 0)
+            ++mixed_rounds;
+        for (RequestOutput &o : outs) {
+            EXPECT_EQ(o.finishReason, FinishReason::Length);
+            got[o.id] = std::move(o.tokens);
+        }
+        if (outs.empty())
+            std::this_thread::yield();
+    }
+    stop.store(true);
+    producer.join();
+
+    EXPECT_GT(mixed_rounds, 0);
+    EXPECT_EQ(eng.pendingRequests(), 0u);
+    EXPECT_EQ(eng.kvUsedPages(), 0u);
+    for (const ServeRequest &r : reqs) {
+        ReferenceEngine ref(w, std::nullopt, ec.kvPageTokens);
+        ref.submit(r);
+        std::vector<RequestOutput> want = ref.drain();
+        ASSERT_EQ(want.size(), 1u);
+        EXPECT_EQ(got[r.id], want[0].tokens) << "request " << r.id;
+    }
+}
+
 TEST(ConcurrencyStress, ReferenceSubmitStepCancel)
 {
     // The oracle engine carries the same front-end contract, so the

@@ -210,7 +210,8 @@ TEST(PipelinedEngine, KvCacheHeldWhileActiveFreedOnRetire)
     req.prompt = {1, 2, 3, 4, 5};
     req.maxNewTokens = 4;
     eng.submit(req);
-    // First step admits + prefills + decodes one token: pages held.
+    // First step admits + prefills (samples the first token): pages
+    // held.
     auto out = eng.step();
     EXPECT_TRUE(out.empty());
     EXPECT_GT(eng.kvUsedPages(), 0u);

@@ -3,8 +3,9 @@
  * (count and seeded-rate modes), and the engines' containment
  * contract under injected faults at every instrumented site
  * (kv.alloc, weights.load, exec.task) across float / int8 / int4 KV
- * modes — the faulted request (or, for round-scope executor and
- * weight-stream faults, the faulted round's co-batch) retires with
+ * modes, each landing in a mixed round (admission + decode in one
+ * layer sweep) — the faulted request (or, for round-scope executor
+ * and weight-stream faults, everyone in the round) retires with
  * FinishReason::Error and a diagnostic, every surviving request's
  * tokens stay bit-identical to an uncontended ReferenceEngine run,
  * all KV pages return to the pool, and the engine keeps serving fresh
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -147,7 +149,11 @@ TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
     EngineConfig ec;
     ec.microBatch = 2;
     ec.kvPageTokens = 4;
-    ec.maxConcurrency = 4;
+    // Three slots for four requests: admission fills whole micro-
+    // batches, so step 1 admits two (prefill only) and step 2 admits
+    // the third while the first two decode — a mixed round, where one
+    // weight stream serves both the prefill and the decode chains.
+    ec.maxConcurrency = 3;
     ec.kvQuant = fc.quant;
 
     std::vector<ServeRequest> wave1, wave2;
@@ -183,11 +189,24 @@ TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
     std::vector<RequestOutput> outs;
     {
         ScopedFault fault(fc.site, fc.nth);
-        outs = eng.drain();
-        // The fault must actually have fired mid-flight, or this test
-        // proves nothing (tune nth if a pipeline change shifts check
+        bool fired_in_mixed_round = false;
+        while (!eng.idle()) {
+            std::size_t active_before = eng.activeRequests();
+            std::size_t pending_before = eng.pendingRequests();
+            std::uint64_t hits_before = fault.hits();
+            for (RequestOutput &o : eng.step())
+                outs.push_back(std::move(o));
+            if (fault.hits() > hits_before)
+                fired_in_mixed_round =
+                    active_before > 0 &&
+                    eng.pendingRequests() < pending_before;
+        }
+        // The fault must actually have fired mid-flight, in a round
+        // that admits while others decode, or this test proves
+        // nothing (tune nth if a pipeline change shifts check
         // counts).
         EXPECT_EQ(fault.hits(), 1u) << "site " << fc.site;
+        EXPECT_TRUE(fired_in_mixed_round) << "site " << fc.site;
     }
     ASSERT_EQ(outs.size(), wave1.size());
     EXPECT_EQ(eng.kvUsedPages(), 0u)
@@ -226,20 +245,92 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // kv.alloc checks fire per page allocation (float) or per
         // token append (quant); weights.load per streamed page;
-        // exec.task per executor task. nth is picked to land after
-        // wave 1 is mid-flight but well before it drains.
-        FaultCase{"kv.alloc", std::nullopt, 10, "kv_float"},
-        FaultCase{"kv.alloc", QuantKind::Int8, 60, "kv_int8"},
-        FaultCase{"kv.alloc", QuantKind::Int4, 60, "kv_int4"},
-        FaultCase{"weights.load", std::nullopt, 30, "weights_float"},
-        FaultCase{"weights.load", QuantKind::Int8, 30, "weights_int8"},
-        FaultCase{"weights.load", QuantKind::Int4, 30, "weights_int4"},
-        FaultCase{"exec.task", std::nullopt, 80, "exec_float"},
-        FaultCase{"exec.task", QuantKind::Int8, 80, "exec_int8"},
-        FaultCase{"exec.task", QuantKind::Int4, 80, "exec_int4"}),
+        // exec.task per executor task (the round's sync fences
+        // included). nth is picked mid-way through step 2's checks,
+        // the first mixed round: float kv.alloc 17-24, quant 53-80,
+        // weights.load 77-152, exec.task 14-46.
+        FaultCase{"kv.alloc", std::nullopt, 20, "kv_float"},
+        FaultCase{"kv.alloc", QuantKind::Int8, 66, "kv_int8"},
+        FaultCase{"kv.alloc", QuantKind::Int4, 66, "kv_int4"},
+        FaultCase{"weights.load", std::nullopt, 114, "weights_float"},
+        FaultCase{"weights.load", QuantKind::Int8, 114, "weights_int8"},
+        FaultCase{"weights.load", QuantKind::Int4, 114, "weights_int4"},
+        FaultCase{"exec.task", std::nullopt, 30, "exec_float"},
+        FaultCase{"exec.task", QuantKind::Int8, 30, "exec_int8"},
+        FaultCase{"exec.task", QuantKind::Int4, 30, "exec_int4"}),
     [](const ::testing::TestParamInfo<FaultCase> &info) {
         return info.param.tag;
     });
+
+TEST(FaultContainment, ExecTaskFaultRetiresWholeMixedRound)
+{
+    // A round-scope fault in a round that admits while others decode
+    // retires everyone in the round — the decoding requests and the
+    // newly admitted one alike — and nobody outside it.
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 98);
+    EngineConfig ec;
+    ec.microBatch = 2;
+    ec.kvPageTokens = 4;
+    ec.maxConcurrency = 4;
+
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 5; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt = makePrompt(w.cfg, 4 + static_cast<std::size_t>(i),
+                              static_cast<std::uint64_t>(i) + 70);
+        r.maxNewTokens = 8;
+        reqs.push_back(std::move(r));
+    }
+    std::map<std::int64_t, std::vector<int>> want;
+    for (const auto &r : reqs)
+        want[r.id] = referenceTokens(w, r);
+
+    PipelinedEngine eng(w, ec);
+    for (int i = 0; i < 3; ++i)
+        eng.submit(reqs[static_cast<std::size_t>(i)]);
+    EXPECT_TRUE(eng.step().empty());  // admit + prefill 0, 1, 2
+    EXPECT_TRUE(eng.step().empty());  // decode 0, 1, 2
+    // One free slot: one of requests 3 and 4 joins the next round,
+    // the other stays queued outside it.
+    eng.submit(reqs[3]);
+    eng.submit(reqs[4]);
+
+    std::vector<RequestOutput> round;
+    {
+        ScopedFault fault("exec.task", 10);
+        round = eng.step();
+        EXPECT_EQ(fault.hits(), 1u);
+    }
+    ASSERT_EQ(round.size(), 4u) << "3 decoding + 1 admitted";
+    for (const auto &o : round) {
+        EXPECT_EQ(o.finishReason, FinishReason::Error) << o.id;
+        EXPECT_FALSE(o.errorMessage.empty());
+        // Truncated to the pre-round snapshot: two tokens for the
+        // decoders, none for the request admitted in the round.
+        std::size_t before = o.id < 3 ? 2u : 0u;
+        ASSERT_EQ(o.tokens.size(), before) << o.id;
+        EXPECT_TRUE(std::equal(o.tokens.begin(), o.tokens.end(),
+                               want[o.id].begin()))
+            << o.id;
+    }
+    EXPECT_EQ(eng.pendingRequests(), 1u);
+    EXPECT_EQ(eng.activeRequests(), 0u);
+
+    // The next wave — the queued request plus a fresh one — runs
+    // clean and bit-identical.
+    ServeRequest fresh = reqs[0];
+    fresh.id = 5;
+    want[5] = want[0];
+    eng.submit(fresh);
+    std::vector<RequestOutput> next = eng.drain();
+    ASSERT_EQ(next.size(), 2u);
+    for (const auto &o : next) {
+        EXPECT_EQ(o.finishReason, FinishReason::Length) << o.id;
+        EXPECT_EQ(o.tokens, want[o.id]) << o.id;
+    }
+    EXPECT_EQ(eng.kvUsedPages(), 0u);
+}
 
 TEST(FaultContainmentRef, ReferenceEngineContainsQuantKvFault)
 {
@@ -325,7 +416,8 @@ runCancelLifecycle(const ModelWeights &w, MakeEngine makeEngine)
     c.prompt = makePrompt(w.cfg, 4, 13);
     c.maxNewTokens = 50;
     eng->submit(c);
-    std::vector<RequestOutput> mid = eng->step();  // admit + 1 round
+    // Admit + prefill (first token); the next step decodes.
+    std::vector<RequestOutput> mid = eng->step();
     EXPECT_TRUE(mid.empty());
     EXPECT_TRUE(eng->cancel(3));
     std::vector<RequestOutput> rest = eng->drain();
@@ -418,7 +510,7 @@ TEST(Lifecycle, CancelReleasesKvPagesImmediately)
     r.prompt = makePrompt(w.cfg, 8, 41);
     r.maxNewTokens = 50;
     eng.submit(r);
-    (void)eng.step();  // admit + first decode round: KV now in use
+    (void)eng.step();  // admit + prefill: KV now in use
     EXPECT_GT(eng.kvUsedPages(), 0u);
     EXPECT_TRUE(eng.cancel(5));
     std::vector<RequestOutput> outs = eng.step();

@@ -273,6 +273,113 @@ INSTANTIATE_TEST_SUITE_P(Kinds, QuantServing,
                          ::testing::Values(QuantKind::Int8,
                                            QuantKind::Int4));
 
+struct OnePassCase
+{
+    std::optional<QuantKind> quant;
+    bool prefixHit;  ///< the mid-flight request shares a cached prefix
+    const char *tag;
+};
+
+class OneWeightPass : public ::testing::TestWithParam<OnePassCase>
+{
+};
+
+TEST_P(OneWeightPass, EveryStepStreamsTheModelOnce)
+{
+    // A step that admits while others decode runs one layer sweep:
+    // each layer's weights cross the link once and serve both the
+    // admitted prompt's prefill and the decoding micro-batches.
+    const OnePassCase pc = GetParam();
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 17);
+    std::size_t page_tokens = 4;
+    EngineConfig ec;
+    ec.microBatch = 2;
+    ec.kvPageTokens = page_tokens;
+    ec.maxConcurrency = 4;
+    ec.cpuAttnThreads = 2;
+    ec.kvQuant = pc.quant;
+    ec.prefixCache = true;
+    PipelinedEngine eng(w, ec);
+
+    std::uint64_t one_pass = 0;
+    {
+        PageArena pinned("pinned", 1, 1);
+        PagedWeightStore store(w, pinned, 2);
+        for (std::size_t l = 0; l < w.cfg.l; ++l)
+            for (const WeightTensorId &t :
+                 store.layerManifest(LayerIdx(l)))
+                one_pass += t.floats * sizeof(float);
+    }
+
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 3; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt = makePrompt(w.cfg, 9 + static_cast<std::size_t>(i),
+                              static_cast<std::uint64_t>(i) + 51);
+        r.maxNewTokens = 6;
+        reqs.push_back(std::move(r));
+    }
+    ServeRequest late;
+    late.id = 3;
+    late.prompt = makePrompt(w.cfg, 5, 59);
+    if (pc.prefixHit)
+        // Request 0's first two closed pages, then a novel tail.
+        late.prompt.insert(late.prompt.begin(), reqs[0].prompt.begin(),
+                           reqs[0].prompt.begin() + 8);
+    late.maxNewTokens = 4;
+    reqs.push_back(late);
+
+    std::vector<RequestOutput> outs;
+    auto weight_bytes_of_step = [&] {
+        std::uint64_t before = eng.transferStats().pinnedToGpu;
+        for (RequestOutput &o : eng.step())
+            outs.push_back(std::move(o));
+        return eng.transferStats().pinnedToGpu - before;
+    };
+
+    for (int i = 0; i < 3; ++i)
+        eng.submit(reqs[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(weight_bytes_of_step(), one_pass) << "prefill-only step";
+    EXPECT_EQ(eng.activeRequests(), 3u);
+    EXPECT_EQ(weight_bytes_of_step(), one_pass) << "decode-only step";
+
+    eng.submit(late);
+    std::size_t hits_before = eng.prefixCacheStats().hits;
+    EXPECT_EQ(weight_bytes_of_step(), one_pass)
+        << "admit + decode step (3 decoding slots, 2 micro-batches)";
+    EXPECT_EQ(eng.pendingRequests(), 0u);
+    EXPECT_EQ(eng.activeRequests(), 4u);
+    EXPECT_EQ(eng.prefixCacheStats().hits - hits_before,
+              pc.prefixHit ? 1u : 0u);
+
+    while (!eng.idle())
+        for (RequestOutput &o : eng.step())
+            outs.push_back(std::move(o));
+    ASSERT_EQ(outs.size(), reqs.size());
+    EXPECT_EQ(eng.kvUsedPages(), 0u);
+    for (const auto &o : outs) {
+        const ServeRequest &r = reqs[static_cast<std::size_t>(o.id)];
+        EXPECT_EQ(o.finishReason, FinishReason::Length);
+        EXPECT_EQ(o.tokens,
+                  referenceTokens(w, r, pc.quant, page_tokens))
+            << "request " << o.id;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KvModes, OneWeightPass,
+    ::testing::Values(
+        OnePassCase{std::nullopt, false, "float_cold"},
+        OnePassCase{std::nullopt, true, "float_prefix_hit"},
+        OnePassCase{QuantKind::Int8, false, "int8_cold"},
+        OnePassCase{QuantKind::Int8, true, "int8_prefix_hit"},
+        OnePassCase{QuantKind::Int4, false, "int4_cold"},
+        OnePassCase{QuantKind::Int4, true, "int4_prefix_hit"}),
+    [](const ::testing::TestParamInfo<OnePassCase> &info) {
+        return info.param.tag;
+    });
+
 TEST(Serving, StopTokensCutGenerationShort)
 {
     ModelWeights w = ModelWeights::random(tinyMixtral(), 13);

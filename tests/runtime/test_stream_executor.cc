@@ -143,8 +143,13 @@ TEST(StreamExecutor, InjectedTaskFaultFlowsThroughSync)
         // Third executor task dies via the exec.task site — the same
         // capture path a real task exception takes.
         ScopedFault fault("exec.task", 3);
+        EventPtr last;
         for (int i = 0; i < 6; ++i)
-            ex.submit(ResourceKind::Gpu, {}, [&] { ++ran; });
+            last = ex.submit(ResourceKind::Gpu, {}, [&] { ++ran; });
+        // Let the six tasks take checks 1-6 before sync() submits its
+        // fences: a fence on an idle queue could otherwise take the
+        // third check first.
+        last->wait();
         try {
             ex.sync();
             FAIL() << "injected fault should surface at sync";
