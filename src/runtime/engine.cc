@@ -7,9 +7,7 @@
 #include <functional>
 
 #include "common/logging.hh"
-#include "kernels/attention.hh"
 #include "kernels/linalg.hh"
-#include "kernels/quant.hh"
 #include "kernels/moe_ffn.hh"
 #include "kernels/ops.hh"
 #include "kernels/router.hh"
@@ -27,15 +25,6 @@ maxTensorFloats(const ModelConfig &cfg)
     mx = std::max(mx, cfg.h1 * cfg.nq * cfg.headDim);
     mx = std::max(mx, cfg.vocab * cfg.h1);        // not staged, safety
     return mx;
-}
-
-/** KV allocation granularity for admission accounting: the float
- *  pool allocates page-granular per (sequence, layer) stream; the
- *  quant cache accounts exact tokens. */
-std::size_t
-kvQuantumFor(const EngineConfig &cfg)
-{
-    return cfg.kvQuant ? 1 : cfg.kvPageTokens;
 }
 
 } // namespace
@@ -67,6 +56,7 @@ struct PipelinedEngine::StepState
     /** Active slots this round, flattened micro-batch-major; the
      *  micro-batch partition is [ubStart[j], ubStart[j+1]). */
     std::vector<SlotIdx> rowSlot;
+    std::vector<SeqId> rowSeq;  ///< seqOf(rowSlot[r])
     std::vector<std::size_t> ubStart;
     std::size_t numUbs = 0;  ///< 0 in a prefill-only round
     /** Slots admitted this step: prefilled in the round, decoding
@@ -104,7 +94,9 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
       pinned_("pinned", maxTensorFloats(weights.cfg), 4),
       te_(pinned_, cfg.throttleBw),
       store_(weights, pinned_, 2),
-      kvQuantum_(kvQuantumFor(cfg)),
+      kv_(std::make_unique<KvCacheManager>(
+          weights.cfg, cfg.maxConcurrency, cfg.kvPageTokens,
+          cfg.kvCapacityTokens, cfg.kvQuant)),
       // Algorithm 2 budgets in request tokens (prompt + generated);
       // the engine's kvCapacityTokens counts token-layer entries, so
       // divide by the layer count. The batcher is constructed from
@@ -112,7 +104,7 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
       // reserved-usage report must round identically.
       kvBudgetTokens_(std::max<std::size_t>(
           1, cfg.kvCapacityTokens / weights.cfg.l)),
-      batcher_(cfg.microBatch, kvBudgetTokens_, kvQuantum_,
+      batcher_(cfg.microBatch, kvBudgetTokens_, kv_->allocQuantum(),
                cfg.headAgeLimit)
 {
     const ModelConfig &c = w_.cfg;
@@ -136,18 +128,8 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
     for (std::size_t i = 0; i < cfg_.maxConcurrency; ++i)
         freeSlots_[i] = cfg_.maxConcurrency - 1 - i;  // back = slot 0
 
-    if (cfg_.kvQuant)
-        qkv_ = std::make_unique<QuantizedKvCache>(
-            c, cfg_.maxConcurrency, cfg_.kvPageTokens, *cfg_.kvQuant,
-            cfg_.kvCapacityTokens);
-    else
-        kv_ = std::make_unique<KvCacheManager>(
-            c, cfg_.maxConcurrency, cfg_.kvPageTokens,
-            cfg_.kvCapacityTokens);
-
     if (cfg_.prefixCache) {
-        PageTable &table =
-            qkv_ ? qkv_->pageTable() : kv_->pageTable();
+        PageTable &table = kv_->pageTable();
         // Stats report float-equivalent bytes: K+V rows for one token
         // across every layer.
         prefix_ = std::make_unique<PrefixCache>(
@@ -162,7 +144,7 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
         MutexLock lk(frontMu_);  // object not yet shared; analysis
         batcher_.setDemandOracle([this](const ServeRequest &r) {
             return servingKvDemandNet(r, prefix_->peekMatch(r.prompt),
-                                      kvQuantum_);
+                                      kv_->allocQuantum());
         });
     }
 
@@ -191,12 +173,13 @@ PipelinedEngine::submit(ServeRequest req)
     // once the queue drains to it — by then the slot is occupied and
     // the fault aborts the serving round. Every request accepted
     // here is eventually admittable (aged head-of-line included).
-    std::size_t demand = servingKvDemand(req, kvQuantum_);
+    std::size_t quantum = kv_->allocQuantum();
+    std::size_t demand = servingKvDemand(req, quantum);
     fatalIf(demand > kvBudgetTokens_,
             "request ", req.id, " needs ", demand,
             " KV tokens (prompt ", req.prompt.size(),
             " + generation budget ", req.maxNewTokens,
-            ", rounded to ", kvQuantum_, "-token pages) but the "
+            ", rounded to ", quantum, "-token pages) but the "
             "engine's KV capacity is ", kvBudgetTokens_,
             " request tokens (kvCapacityTokens / layer count)");
     servingStampSubmitted(req);
@@ -235,15 +218,13 @@ PipelinedEngine::activeRequests() const
 std::size_t
 PipelinedEngine::kvUsedPages() const
 {
-    return qkv_ ? qkv_->usedPages() : kv_->usedPages();
+    return kv_->usedPages();
 }
 
 std::size_t
 PipelinedEngine::kvContextLen(SlotIdx slot) const
 {
-    SeqId seq = seqOf(slot);
-    return qkv_ ? qkv_->contextLen(seq, LayerIdx(0))
-                : kv_->contextLen(seq, LayerIdx(0));
+    return kv_->contextLen(seqOf(slot), LayerIdx(0));
 }
 
 std::size_t
@@ -270,18 +251,15 @@ PipelinedEngine::kvTokensInUse() const
     for (const auto &s : slots_)
         if (s)
             reserved += s->reservedTokens;
-    if (prefix_) {
-        const PageTable &t =
-            qkv_ ? qkv_->pageTable() : kv_->pageTable();
-        reserved += t.pinnedTokens() / w_.cfg.l;
-    }
+    if (prefix_)
+        reserved += kv_->pageTable().pinnedTokens() / w_.cfg.l;
     return reserved;
 }
 
 std::size_t
 PipelinedEngine::kvCachedPages() const
 {
-    return qkv_ ? qkv_->cachedPages() : kv_->cachedPages();
+    return kv_->cachedPages();
 }
 
 void
@@ -294,16 +272,11 @@ void
 PipelinedEngine::freeSlotKv(SlotIdx slot)
 {
     // A request that faulted before its first append holds no KV
-    // state; freeing it anyway would (rightly) trip the caches'
+    // state; freeing it anyway would (rightly) trip the cache's
     // double-free detection.
     SeqId seq = seqOf(slot);
-    if (qkv_) {
-        if (qkv_->sequenceLive(seq))
-            qkv_->freeSequence(seq);
-    } else {
-        if (kv_->sequenceLive(seq))
-            kv_->freeSequence(seq);
-    }
+    if (kv_->sequenceLive(seq))
+        kv_->freeSequence(seq);
 }
 
 void
@@ -315,15 +288,10 @@ PipelinedEngine::ensureAttnScratch(std::size_t ctx)
     // reallocate every decode round.
     std::size_t target = std::max(ctx, scratchCtx_ * 2);
     scratchCtx_ = target;
-    const ModelConfig &c = w_.cfg;
-    // Quant scratch is a superset of the float kernel's (score rows
-    // plus the K/V dequant stash), so one sizing covers both modes.
-    std::size_t per = gqaQuantAttnScratchFloats(
-        c.nq, c.nkv, target, c.headDim, cfg_.kvPageTokens);
-    cpuAttnScratch_.assign(per, 0.0f);
     std::size_t attn_slots =
         attnPool_ ? attnPool_->maxParallelism() : 1;
-    cpuBatchScratch_.assign(attn_slots * per, 0.0f);
+    cpuBatchScratch_.assign(
+        attn_slots * kv_->decodeScratchFloats(w_.cfg.nq, target), 0.0f);
 }
 
 std::vector<RequestOutput>
@@ -608,7 +576,7 @@ PipelinedEngine::admitPending()
             as.prefixLen = prefix_->attach(seqOf(SlotIdx(slot)),
                                            as.req.prompt);
         as.reservedTokens =
-            servingKvDemandNet(as.req, as.prefixLen, kvQuantum_);
+            servingKvDemandNet(as.req, as.prefixLen, kv_->allocQuantum());
         fresh.push_back(SlotIdx(slot));
     }
     {
@@ -651,16 +619,14 @@ PipelinedEngine::preparePrefill(const std::vector<SlotIdx> &slots)
                     prompt[as.prefixLen + t])),
                 h1_ * sizeof(float));
     }
-    if (qkv_ && max_prompt > prefillScratchLen_) {
+    if (max_prompt > prefillScratchLen_) {
         prefillScratchLen_ = max_prompt;
-        // One slot per attention-pool worker: the fused prefill
+        // One slot per attention-pool worker: the quantized prefill
         // kernel fans KV heads across the pool when it may borrow it.
         std::size_t worker_slots =
             attnPool_ ? attnPool_->maxParallelism() : 1;
         cpuPrefillScratch_.assign(
-            worker_slots * gqaQuantPrefillAttnScratchFloats(
-                               cfg.nq, cfg.nkv, max_prompt,
-                               cfg.headDim, cfg_.kvPageTokens),
+            worker_slots * kv_->prefillScratchFloats(cfg.nq, max_prompt),
             0.0f);
     }
     // Reserve the per-layer working buffers once to the longest
@@ -685,10 +651,9 @@ PipelinedEngine::prefillLayer(LayerIdx li,
 {
     const ModelConfig &c = w_.cfg;
     // Whole-sequence batched projections instead of per-token GEMV
-    // chains; only the attention/KV-append walk stays per token
-    // (causal order). Per-token arithmetic is independent of @p pool,
-    // so tokens stay bit-identical to the reference engine.
-    KvViewStorage view;
+    // chains; the KV cache runs the attention/KV-append walk in causal
+    // order. Per-token arithmetic is independent of @p pool, so tokens
+    // stay bit-identical to the reference engine.
     // Working buffers are engine members, reserved to the longest
     // prompt in preparePrefill(); only the Gpu queue's serialized
     // tasks touch them, so the per-seq resizes below never
@@ -707,7 +672,6 @@ PipelinedEngine::prefillLayer(LayerIdx li,
         // (prefixLen > 0) already sits in the KV cache, so this walk
         // starts mid-context.
         std::size_t len = prefillHidden_[a].size() / h1_;
-        std::size_t prefix = slots_[slot.value()]->prefixLen;
         float *xs = prefillHidden_[a].data();
         norm_all.resize(len * h1_);
         q_all.resize(len * qDim_);
@@ -726,62 +690,11 @@ PipelinedEngine::prefillLayer(LayerIdx li,
                           k_all.data(), len, h1_, kvDim_, pool);
         matmulTransposedB(norm_all.data(), store_.tensor(li, "wv"),
                           v_all.data(), len, h1_, kvDim_, pool);
-        if (qkv_ && prefix == 0) {
-            // Append the whole prompt, then run the fused causal
-            // prefill kernel once: each closed page dequantizes once
-            // per KV head instead of once per later position, and the
-            // kernel replays the per-token append walk bit-for-bit
-            // (the reference engine's per-token fused decode stays the
-            // oracle for this). KV heads fan across @p pool when the
-            // round lets the prefill borrow it.
-            for (std::size_t t = 0; t < len; ++t)
-                qkv_->append(seqOf(slot), li,
-                             k_all.data() + t * kvDim_,
-                             v_all.data() + t * kvDim_);
-            gqaPrefillAttentionQuantFused(
-                q_all.data(), k_all.data(), v_all.data(), len, c.nq,
-                qkv_->makeQuantView(seqOf(slot), li), attn_all.data(),
-                scale_, cpuPrefillScratch_, pool);
-        } else if (qkv_) {
-            // Prefix hit: the fused prefill kernel's walk assumes it
-            // replays the cache from empty, so a mid-context prefill
-            // runs the per-token fused decode walk instead — append
-            // one position, attend over the grown view. This is the
-            // exact walk the fused kernel is bit-identical to, just
-            // starting at `prefix`, so hot tokens match cold ones.
-            for (std::size_t t = 0; t < len; ++t) {
-                qkv_->append(seqOf(slot), li,
-                             k_all.data() + t * kvDim_,
-                             v_all.data() + t * kvDim_);
-                gqaDecodeAttentionQuantFused(
-                    q_all.data() + t * qDim_, c.nq,
-                    qkv_->makeQuantView(seqOf(slot), li),
-                    attn_all.data() + t * qDim_, scale_,
-                    cpuAttnScratch_);
-            }
-        } else {
-            for (std::size_t t = 0; t < len; ++t) {
-                kv_->append(seqOf(slot), li,
-                            k_all.data() + t * kvDim_,
-                            v_all.data() + t * kvDim_);
-                // The page-pointer list only changes when an append
-                // opens a new page; between boundaries just advance
-                // the context length instead of rebuilding the view.
-                // Keyed off the cache's actual length (not t) so a
-                // prefill over a non-empty cache — prefix reuse, say
-                // — stays correct; t == 0 still always builds this
-                // (slot, layer)'s first view.
-                std::size_t ctx_len = kv_->contextLen(seqOf(slot), li);
-                if (t == 0 || (ctx_len - 1) % cfg_.kvPageTokens == 0)
-                    kv_->makeView(seqOf(slot), li, view);
-                else
-                    view.view.contextLen = ctx_len;
-                gqaDecodeAttention(q_all.data() + t * qDim_, c.nq,
-                                   view.view,
-                                   attn_all.data() + t * qDim_, scale_,
-                                   cpuAttnScratch_);
-            }
-        }
+        // Append the tail and attend; a hit's walk starts mid-context
+        // over the attached prefix.
+        kv_->prefillAttention(seqOf(slot), li, q_all.data(), k_all.data(),
+                              v_all.data(), len, c.nq, attn_all.data(),
+                              scale_, cpuPrefillScratch_, pool);
         matmulTransposedB(attn_all.data(), store_.tensor(li, "wo"),
                           proj_all.data(), len, qDim_, h1_, pool);
         for (std::size_t t = 0; t < len; ++t) {
@@ -863,9 +776,12 @@ PipelinedEngine::runRound(std::vector<SlotIdx> fresh,
     for (SlotIdx slot : st.fresh)
         isFresh[slot.value()] = true;
     st.rowSlot.clear();
+    st.rowSeq.clear();
     for (std::size_t slot = 0; slot < slots_.size(); ++slot)
-        if (slots_[slot] && !isFresh[slot])
+        if (slots_[slot] && !isFresh[slot]) {
             st.rowSlot.push_back(SlotIdx(slot));
+            st.rowSeq.push_back(seqOf(SlotIdx(slot)));
+        }
     if (st.rowSlot.empty() && st.fresh.empty())
         return;
 
@@ -1082,14 +998,8 @@ PipelinedEngine::launchRound(StepState &st)
                     const float *qkv =
                         st.qkvCpu[j].data() + r * qkvDim_;
                     try {
-                        if (qkv_)
-                            qkv_->append(seqOf(slot), LayerIdx(i),
-                                         qkv + qDim_,
-                                         qkv + qDim_ + kvDim_);
-                        else
-                            kv_->append(seqOf(slot), LayerIdx(i),
-                                        qkv + qDim_,
-                                        qkv + qDim_ + kvDim_);
+                        kv_->append(seqOf(slot), LayerIdx(i),
+                                    qkv + qDim_, qkv + qDim_ + kvDim_);
                     } catch (const FatalError &e) {
                         noteSlotFault(slot, e.what());
                     }
@@ -1098,37 +1008,13 @@ PipelinedEngine::launchRound(StepState &st)
 
         st.cattn[i][j] = exec_->submit(
             ResourceKind::Cpu, {off}, [this, &st, i, j] {
-                const ModelConfig &c = w_.cfg;
                 std::size_t n = st.ubSize(j);
-                if (qkv_) {
-                    // Zero-copy quantized views; the fused kernel
-                    // dequantizes rows in-register, so no float KV
-                    // pages are ever materialized.
-                    std::vector<QuantKvView> qviews(n);
-                    for (std::size_t r = 0; r < n; ++r)
-                        qviews[r] = qkv_->makeQuantView(
-                            seqOf(st.rowSlot[st.ubStart[j] + r]),
-                            LayerIdx(i));
-                    gqaDecodeAttentionQuantBatch(
-                        st.qkvCpu[j].data(), qkvDim_, c.nq, qviews,
-                        st.attnCpu[j].data(), qDim_, scale_,
-                        attnPool_.get(), cpuBatchScratch_);
-                    return;
-                }
-                // Materialize all views first, then fan the tokens
-                // out across the attention pool (multi-core kernel).
-                std::vector<KvViewStorage> views(n);
-                std::vector<KvView> kvs(n);
-                for (std::size_t r = 0; r < n; ++r) {
-                    kv_->makeView(
-                        seqOf(st.rowSlot[st.ubStart[j] + r]),
-                        LayerIdx(i), views[r]);
-                    kvs[r] = views[r].view;
-                }
-                gqaDecodeAttentionBatch(
-                    st.qkvCpu[j].data(), qkvDim_, c.nq, kvs,
-                    st.attnCpu[j].data(), qDim_, scale_,
-                    attnPool_.get(), cpuBatchScratch_);
+                kv_->decodeAttention(
+                    std::span<const SeqId>(st.rowSeq).subspan(
+                        st.ubStart[j], n),
+                    LayerIdx(i), st.qkvCpu[j].data(), qkvDim_, w_.cfg.nq,
+                    st.attnCpu[j].data(), qDim_, scale_, attnPool_.get(),
+                    cpuBatchScratch_);
             });
 
         if (prefill) {

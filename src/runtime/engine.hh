@@ -19,8 +19,7 @@
  * the prefill of the admitted prompts, whose first token is sampled
  * after the last layer — they start decoding in the next step.
  * Finished sequences retire immediately, releasing their KV pages
- * (float or quantized) back to the pool mid-flight while the rest
- * keep generating.
+ * back to the pool mid-flight while the rest keep generating.
  *
  * Functional contract: identical greedy tokens to ReferenceEngine
  * per request for identical weights and KV geometry, regardless of
@@ -46,7 +45,6 @@
 #include "runtime/kv_cache.hh"
 #include "runtime/paged_weights.hh"
 #include "runtime/prefix_cache.hh"
-#include "runtime/quant_kv_cache.hh"
 #include "runtime/serving.hh"
 #include "runtime/stream_executor.hh"
 #include "runtime/transfer_engine.hh"
@@ -77,12 +75,12 @@ struct EngineConfig
      *  Lower = stronger FIFO fairness, more preemption recompute;
      *  higher = more throughput-friendly reordering. Must be >= 1. */
     std::size_t headAgeLimit = ContinuousBatcher::kHeadAgeLimit;
-    /** Quantize KV pages as they close (int8/int4) and run decode
-     *  attention through the fused quant kernel — the Fig. 4 lever
-     *  that raises attention's operational intensity. nullopt (the
-     *  default) keeps float KV, bit-identical to ReferenceEngine;
-     *  with quantization enabled tokens instead match a
-     *  ReferenceEngine constructed with the same kvQuant and
+    /** The KV cache's page codec: int8/int4 quantize each page as it
+     *  closes and attention reads it through the fused quant kernels
+     *  — the Fig. 4 lever that raises attention's operational
+     *  intensity. nullopt (the default) stores float pages,
+     *  bit-identical to ReferenceEngine; with a codec tokens instead
+     *  match a ReferenceEngine constructed with the same kvQuant and
      *  kvPageTokens. */
     std::optional<QuantKind> kvQuant{};
     /** Share closed KV pages across requests with a common prompt
@@ -131,9 +129,9 @@ class PipelinedEngine : public Engine
      *  generate() call (generate resets them). */
     TransferStats transferStats() const { return te_.stats(); }
 
-    /** Current KV pool usage in pages (float pool pages, or closed +
-     *  open quantized pages with kvQuant). Shrinks mid-flight as
-     *  requests retire; 0 once the engine drains. */
+    /** Current KV usage in pages referenced by live sequences: one K
+     *  and one V page per block, whatever the codec. Shrinks
+     *  mid-flight as requests retire; 0 once the engine drains. */
     std::size_t kvUsedPages() const;
 
     /** High-water mark of kvUsedPages() over the engine's life. */
@@ -219,8 +217,8 @@ class PipelinedEngine : public Engine
                         std::string errorMessage,
                         std::vector<RequestOutput> &finished);
     void preemptYoungest();
-    /** The slot->sequence identity map: slot i owns KV sequence i in
-     *  whichever cache is active. The ONLY place a SlotIdx becomes a
+    /** The slot->sequence identity map: slot i owns KV sequence i.
+     *  The ONLY place a SlotIdx becomes a
      *  SeqId (see docs/index_domains.md). */
     static SeqId seqOf(SlotIdx slot) { return SeqId(slot.value()); }
     /** Record a request-scope fault for @p slot (from any queue
@@ -239,15 +237,12 @@ class PipelinedEngine : public Engine
     TransferEngine te_;
     PagedWeightStore store_;
     std::unique_ptr<ThreadPool> attnPool_;
+    /** The KV cache, in cfg_.kvQuant's page format. Declared before
+     *  batcher_, which is constructed from its allocation quantum. */
     std::unique_ptr<KvCacheManager> kv_;
-    std::unique_ptr<QuantizedKvCache> qkv_;  ///< when cfg_.kvQuant
-    /** Prefix tree over the active cache's page table (when
-     *  cfg_.prefixCache); declared after the caches it borrows. */
+    /** Prefix tree over the cache's page table (when
+     *  cfg_.prefixCache); declared after the cache it borrows. */
     std::unique_ptr<PrefixCache> prefix_;
-    /** KV allocation granularity for admission accounting (page size
-     *  in float mode, 1 in quant mode). Declared before batcher_ so
-     *  the batcher is constructed from the same value. */
-    std::size_t kvQuantum_ = 1;
     /** Total admission budget in request tokens (kvCapacityTokens /
      *  layers); submit() rejects requests that can never fit it.
      *  Declared before batcher_ for the same reason. */
@@ -296,8 +291,7 @@ class PipelinedEngine : public Engine
     /** Prefill-bootstrap pooled lmHead buffers (admitted-batch-
      *  sized, which may exceed microBatch). */
     std::vector<float> bootNorm_, bootLogits_;
-    std::vector<float> cpuAttnScratch_, cpuBatchScratch_;
-    std::vector<float> cpuPrefillScratch_;
+    std::vector<float> cpuBatchScratch_, cpuPrefillScratch_;
     std::size_t scratchCtx_ = 0;
     std::size_t prefillScratchLen_ = 0;
     std::vector<std::vector<float>> prefillHidden_;

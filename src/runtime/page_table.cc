@@ -133,9 +133,9 @@ PageTable::appendToken(SeqId seq, LayerIdx layer)
     MOELIGHT_ASSERT_SERIAL(gate_);
     Stream &st = at(seq, layer);
     std::size_t off = st.len % pageTokens_;
-    // Injection cadence matches what each cache historically did:
-    // the page-granular float pool checked once per allocation, the
-    // token-granular quant budget once per append.
+    // Injection cadence follows the capacity model's granularity:
+    // once per block allocation for float pages, once per append for
+    // the token-metered quantized pages.
     if (model_ == PageCapacityModel::Tokens || off == 0)
         FaultInjector::check("kv.alloc");
 

@@ -1,14 +1,14 @@
 /**
  * @file
  * Shared refcounted page/block table — the single ownership layer
- * under both KV caches. A *block* is one page-worth of K plus V for
- * one (sequence, layer) stream position range; the table tracks which
- * blocks each stream references, how many streams reference each
- * block, and how many external pins (the prefix cache) hold it
- * resident. Storage itself stays in the cache (float arena pages or
- * quantized buffers) behind three hooks, so the refcount, capacity,
- * copy-on-write and typed-error logic exists exactly once instead of
- * per-cache (the duplication PRs 2-6 patched in stereo).
+ * under the KV cache, whatever its page codec. A *block* is one
+ * page-worth of K plus V for one (sequence, layer) stream position
+ * range; the table tracks which blocks each stream references, how
+ * many streams reference each block, and how many external pins (the
+ * prefix cache) hold it resident. Storage itself stays in the cache
+ * (float arena pages or quantized buffers) behind three hooks, so the
+ * refcount, capacity, copy-on-write and typed-error logic exists
+ * exactly once.
  *
  * Sharing model (vLLM/SGLang radix-cache style):
  *  - A stream owns its open (partial) tail block exclusively; closed
@@ -74,8 +74,8 @@ struct PageTableHooks
 /** How the table meters capacity. */
 enum class PageCapacityModel
 {
-    Blocks,  ///< resident blocks vs a block budget (float arena)
-    Tokens,  ///< resident tokens vs a token budget (quant cache)
+    Blocks,  ///< resident blocks vs a block budget (float pages)
+    Tokens,  ///< resident tokens vs a token budget (quantized pages)
 };
 
 /** Where appendToken() placed one token. */
@@ -95,8 +95,8 @@ struct AppendSlot
 /**
  * Refcounted block table for numSeqs x layers streams. All typed KV
  * ownership errors (KvExhausted @ kv.alloc, KvInvalidSequence /
- * KvDoubleFree @ kv.free) originate here — one contract for both
- * caches.
+ * KvDoubleFree @ kv.free) originate here — one contract for every
+ * page codec.
  */
 class PageTable
 {
@@ -124,8 +124,8 @@ class PageTable
      * hook first). Throws EngineError(KvExhausted, "kv.alloc") when
      * space cannot be made. FaultInjector site "kv.alloc" — checked
      * per block in the Blocks model (allocation granularity) and per
-     * token in the Tokens model, preserving each cache's legacy
-     * injection cadence. The caller writes the token's payload into
+     * token in the Tokens model (each model's allocation
+     * granularity). The caller writes the token's payload into
      * the returned slot via its own storage.
      */
     AppendSlot appendToken(SeqId seq, LayerIdx layer);

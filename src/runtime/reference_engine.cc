@@ -313,8 +313,8 @@ ReferenceEngine::forwardToken(SeqId seq, int token)
                           kvDim);
         if (kvQuant_) {
             if (!cache.quant)
-                cache.quant = std::make_unique<QuantizedKvCache>(
-                    cfg, 1, kvPageTokens_, *kvQuant_);
+                cache.quant = std::make_unique<KvCacheManager>(
+                    cfg, 1, kvPageTokens_, 0, kvQuant_);
             cache.quant->append(SeqId(0), LayerIdx(li), k.data(),
                                 v.data());
             // Deliberately the per-token fused decode walk, prompt

@@ -24,7 +24,7 @@
 
 #include "common/strong_types.hh"
 #include "common/sync.hh"
-#include "runtime/quant_kv_cache.hh"
+#include "runtime/kv_cache.hh"
 #include "runtime/serving.hh"
 #include "runtime/weights.hh"
 
@@ -43,10 +43,11 @@ class ReferenceEngine : public Engine
   public:
     /**
      * @p weights must outlive the engine. When @p kvQuant is set, KV
-     * is stored in a QuantizedKvCache with @p kvPageTokens tokens per
-     * page and attention runs through the fused quant kernel — the
-     * single-threaded oracle for the pipelined engine's quantized
-     * mode (page geometry must match for token-exact comparison).
+     * is stored in a KvCacheManager with that codec and
+     * @p kvPageTokens tokens per page, and attention runs through the
+     * fused quant kernel — the single-threaded oracle for the
+     * pipelined engine's quantized mode (page geometry must match for
+     * token-exact comparison).
      */
     explicit ReferenceEngine(
         const ModelWeights &weights,
@@ -84,7 +85,7 @@ class ReferenceEngine : public Engine
         std::vector<std::vector<float>> v;
         /** Quantized mode: one single-sequence cache per sequence
          *  (lazily created; k/v above stay empty). */
-        std::unique_ptr<QuantizedKvCache> quant;
+        std::unique_ptr<KvCacheManager> quant;
         std::size_t len = 0;
     };
 

@@ -1,8 +1,8 @@
 /**
  * Quantized-KV engine tests: with EngineConfig::kvQuant set, the
- * pipelined engine stores KV through QuantizedKvCache and attends via
- * the fused quant kernel. Tokens must exactly match a ReferenceEngine
- * running the same quantization with the same page geometry (the
+ * pipelined engine's KV cache quantizes each page as it closes and
+ * attends via the fused quant kernel. Tokens must exactly match a
+ * ReferenceEngine running the same quantization with the same page geometry (the
  * quant analogue of the float EngineEquivalence suite), and the run
  * must allocate no float KV pool.
  */

@@ -5,8 +5,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "runtime/kv_cache.hh"
-#include "runtime/quant_kv_cache.hh"
-#include "runtime/status.hh"
 
 namespace moelight {
 namespace {
@@ -26,18 +24,6 @@ randTokenKv(Rng &rng)
     return v;
 }
 
-TEST(QuantKvCache, ContextAccounting)
-{
-    QuantizedKvCache kv(cfg(), 2, 4, QuantKind::Int8);
-    Rng rng(1);
-    auto k = randTokenKv(rng), v = randTokenKv(rng);
-    for (int t = 0; t < 9; ++t)
-        kv.append(SeqId(0), LayerIdx(1), k.data(), v.data());
-    EXPECT_EQ(kv.contextLen(SeqId(0), LayerIdx(1)), 9u);
-    EXPECT_EQ(kv.contextLen(SeqId(0), LayerIdx(0)), 0u);
-    EXPECT_EQ(kv.contextLen(SeqId(1), LayerIdx(1)), 0u);
-}
-
 class QuantKvKind : public ::testing::TestWithParam<QuantKind>
 {
 };
@@ -45,7 +31,7 @@ class QuantKvKind : public ::testing::TestWithParam<QuantKind>
 TEST_P(QuantKvKind, AttentionCloseToFloatCache)
 {
     ModelConfig c = cfg();
-    QuantizedKvCache qkv(c, 1, 4, GetParam());
+    KvCacheManager qkv(c, 1, 4, 0, GetParam());
     KvCacheManager fkv(c, 1, 4, 256);
     Rng rng(7);
 
@@ -59,7 +45,7 @@ TEST_P(QuantKvKind, AttentionCloseToFloatCache)
     for (auto &x : q)
         x = static_cast<float>(rng.uniform(-1, 1));
 
-    QuantKvViewStorage qs;
+    KvViewStorage qs;
     KvViewStorage fs;
     qkv.makeView(SeqId(0), LayerIdx(2), qs);
     fkv.makeView(SeqId(0), LayerIdx(2), fs);
@@ -81,8 +67,8 @@ INSTANTIATE_TEST_SUITE_P(Kinds, QuantKvKind,
 TEST(QuantKvCache, CompressionApproachesNominalRatio)
 {
     ModelConfig c = cfg();
-    QuantizedKvCache kv8(c, 1, 4, QuantKind::Int8);
-    QuantizedKvCache kv4(c, 1, 4, QuantKind::Int4);
+    KvCacheManager kv8(c, 1, 4, 0, QuantKind::Int8);
+    KvCacheManager kv4(c, 1, 4, 0, QuantKind::Int4);
     Rng rng(9);
     for (int t = 0; t < 64; ++t) {  // all pages closed
         auto k = randTokenKv(rng);
@@ -107,12 +93,12 @@ TEST(QuantKvCache, OpenPageExactUntilClosed)
 {
     // Tokens still in the open (float) page must be exact.
     ModelConfig c = cfg();
-    QuantizedKvCache kv(c, 1, 8, QuantKind::Int4);
+    KvCacheManager kv(c, 1, 8, 0, QuantKind::Int4);
     Rng rng(11);
     auto k = randTokenKv(rng);
     auto v = randTokenKv(rng);
     kv.append(SeqId(0), LayerIdx(0), k.data(), v.data());
-    QuantKvViewStorage s;
+    KvViewStorage s;
     kv.makeView(SeqId(0), LayerIdx(0), s);
     for (std::size_t h = 0; h < c.nkv; ++h)
         for (std::size_t d = 0; d < c.headDim; ++d) {
@@ -127,7 +113,7 @@ TEST(QuantKvCache, OddHeadDimInt8Constructs)
     // *both* kinds; only int4's nibble packing needs it even.
     ModelConfig c = cfg();
     c.headDim = 7;
-    QuantizedKvCache kv(c, 1, 4, QuantKind::Int8);
+    KvCacheManager kv(c, 1, 4, 0, QuantKind::Int8);
     Rng rng(13);
     std::size_t tok_floats = c.nkv * c.headDim;
     std::vector<float> k(tok_floats), v(tok_floats);
@@ -147,14 +133,14 @@ TEST(QuantKvCache, OddHeadDimInt8Constructs)
     gqaDecodeAttentionQuantFused(q.data(), c.nq,
                                  kv.makeQuantView(SeqId(0), LayerIdx(0)),
                                  out_fused.data(), 0.35f);
-    QuantKvViewStorage s;
+    KvViewStorage s;
     kv.makeView(SeqId(0), LayerIdx(0), s);
     gqaDecodeAttention(q.data(), c.nq, s.view, out_mat.data(), 0.35f);
     for (std::size_t i = 0; i < out_fused.size(); ++i)
         EXPECT_EQ(out_fused[i], out_mat[i]) << i;
 
     // int4 still rejects an odd headDim (two nibbles per byte).
-    EXPECT_THROW(QuantizedKvCache(c, 1, 4, QuantKind::Int4),
+    EXPECT_THROW(KvCacheManager(c, 1, 4, 0, QuantKind::Int4),
                  FatalError);
 }
 
@@ -164,7 +150,7 @@ TEST_P(QuantKvKind, FusedOverQuantViewMatchesMaterializedView)
     // bit-identical to the materializing makeView + float kernel —
     // the golden cross-check pairing the runtime relies on.
     ModelConfig c = cfg();
-    QuantizedKvCache kv(c, 1, 4, GetParam());
+    KvCacheManager kv(c, 1, 4, 0, GetParam());
     Rng rng(29);
     for (int t = 0; t < 11; ++t) {  // 2 closed pages + 3 open tokens
         auto k = randTokenKv(rng);
@@ -183,7 +169,7 @@ TEST_P(QuantKvKind, FusedOverQuantViewMatchesMaterializedView)
     float scale = 1.0f / std::sqrt(static_cast<float>(c.headDim));
     gqaDecodeAttentionQuantFused(q.data(), c.nq, qv, out_fused.data(),
                                  scale);
-    QuantKvViewStorage s;
+    KvViewStorage s;
     kv.makeView(SeqId(0), LayerIdx(1), s);
     gqaDecodeAttention(q.data(), c.nq, s.view, out_mat.data(), scale);
     for (std::size_t i = 0; i < out_fused.size(); ++i)
@@ -195,68 +181,11 @@ TEST(QuantKvCache, EnforcesTokenCapacity)
     // The engine's kvCapacityTokens budget must keep meaning
     // something in quantized mode: exceeding it is fatal, like the
     // float pool's exhaustion, instead of growing without bound.
-    QuantizedKvCache kv(cfg(), 1, 4, QuantKind::Int8, 5);
+    KvCacheManager kv(cfg(), 1, 4, 5, QuantKind::Int8);
     std::vector<float> k(16, 0.5f), v(16, 0.5f);
     for (int t = 0; t < 5; ++t)
         kv.append(SeqId(0), LayerIdx(t % 2), k.data(), v.data());
     EXPECT_THROW(kv.append(SeqId(0), LayerIdx(0), k.data(), v.data()), FatalError);
-}
-
-TEST(QuantKvCache, OutOfRangePanics)
-{
-    QuantizedKvCache kv(cfg(), 1, 4, QuantKind::Int8);
-    std::vector<float> k(16), v(16);
-    EXPECT_THROW(kv.append(SeqId(1), LayerIdx(0), k.data(), v.data()), PanicError);
-    EXPECT_THROW(kv.append(SeqId(0), LayerIdx(4), k.data(), v.data()), PanicError);
-}
-
-TEST(QuantKvCache, ExhaustionIsTypedAndLeavesCounterConsistent)
-{
-    QuantizedKvCache kv(cfg(), 1, 4, QuantKind::Int8, 5);
-    std::vector<float> k(16, 0.5f), v(16, 0.5f);
-    for (int t = 0; t < 5; ++t)
-        kv.append(SeqId(0), LayerIdx(t % 2), k.data(), v.data());
-    try {
-        kv.append(SeqId(0), LayerIdx(0), k.data(), v.data());
-        FAIL() << "over budget";
-    } catch (const EngineError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::KvExhausted);
-        EXPECT_EQ(e.site(), "kv.alloc");
-    }
-    // The capacity check runs before any mutation, so the rejected
-    // append did not bump the token counter: freeing the sequence
-    // returns the cache to exactly empty and the next append at the
-    // budget boundary still succeeds.
-    kv.freeSequence(SeqId(0));
-    EXPECT_EQ(kv.usedTokens(), 0u);
-    for (int t = 0; t < 5; ++t)
-        kv.append(SeqId(0), LayerIdx(0), k.data(), v.data());
-    EXPECT_EQ(kv.usedTokens(), 5u);
-}
-
-TEST(QuantKvCache, FreeSequenceErrorsAreTyped)
-{
-    QuantizedKvCache kv(cfg(), 2, 4, QuantKind::Int4);
-    std::vector<float> k(16, 0.25f), v(16, 0.25f);
-    kv.append(SeqId(0), LayerIdx(0), k.data(), v.data());
-
-    try {
-        kv.freeSequence(SeqId(9));
-        FAIL() << "out-of-range seq should throw";
-    } catch (const EngineError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::KvInvalidSequence);
-        EXPECT_EQ(e.site(), "kv.free");
-    }
-
-    kv.freeSequence(SeqId(0));
-    try {
-        kv.freeSequence(SeqId(0));
-        FAIL() << "second free should throw";
-    } catch (const EngineError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::KvDoubleFree);
-        EXPECT_EQ(e.site(), "kv.free");
-    }
-    EXPECT_THROW(kv.freeSequence(SeqId(1)), EngineError);
 }
 
 } // namespace
