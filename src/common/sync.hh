@@ -155,11 +155,12 @@ class CondVar
 
 /**
  * Debug-build detector for unsynchronized concurrent entry into a
- * single-threaded-by-contract class (ContinuousBatcher, PrefixCache,
- * PageTable). Those classes ARE used from several threads — executor
- * queue workers and the driver thread take turns — but never
- * concurrently: every access is serialized by pipeline events or the
- * engine's front-end mutex. A plain thread-of-ownership assert would
+ * single-threaded-by-contract section: the PrefixCache and PageTable
+ * mutators, and an engine's step() (ContinuousBatcher::driverScope).
+ * Those ARE used from several threads — executor queue workers and
+ * the driver thread take turns, and any thread may drive an engine —
+ * but never concurrently: every access is serialized by pipeline
+ * events or by the caller. A plain thread-of-ownership assert would
  * reject that legal hand-off, so the gate checks the actual
  * invariant: at most one thread inside a mutating section at a time.
  * Same-thread reentry is allowed — PageTable::appendToken's reclaim

@@ -141,7 +141,6 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
         // Admission budgets only the novel tail of a cached prompt
         // (the shared pages are budgeted once, globally, via
         // pinnedTokens in kvTokensInUse()).
-        MutexLock lk(frontMu_);  // object not yet shared; analysis
         batcher_.setDemandOracle([this](const ServeRequest &r) {
             return servingKvDemandNet(r, prefix_->peekMatch(r.prompt),
                                       kv_->allocQuantum());
@@ -182,37 +181,25 @@ PipelinedEngine::submit(ServeRequest req)
             ", rounded to ", quantum, "-token pages) but the "
             "engine's KV capacity is ", kvBudgetTokens_,
             " request tokens (kvCapacityTokens / layer count)");
-    servingStampSubmitted(req);
-    MutexLock lk(frontMu_);
     batcher_.enqueue(std::move(req));
 }
 
 bool
 PipelinedEngine::cancel(std::int64_t id)
 {
-    MutexLock lk(frontMu_);
-    // activeIds_ mirrors the driver-owned slots_ so this probe never
-    // races the pipeline. Found ids stay in flight until the next
-    // step(), which retires them as Cancelled and releases their
-    // pages.
-    bool found = batcher_.contains(id) || activeIds_.count(id) != 0;
-    if (found)
-        cancelled_.insert(id);
-    return found;
+    return batcher_.cancel(id);
 }
 
 std::size_t
 PipelinedEngine::pendingRequests() const
 {
-    MutexLock lk(frontMu_);
     return batcher_.pending();
 }
 
 std::size_t
 PipelinedEngine::activeRequests() const
 {
-    MutexLock lk(frontMu_);
-    return activeIds_.size();
+    return batcher_.active();
 }
 
 std::size_t
@@ -269,17 +256,6 @@ PipelinedEngine::noteKvUsage()
 }
 
 void
-PipelinedEngine::freeSlotKv(SlotIdx slot)
-{
-    // A request that faulted before its first append holds no KV
-    // state; freeing it anyway would (rightly) trip the cache's
-    // double-free detection.
-    SeqId seq = seqOf(slot);
-    if (kv_->sequenceLive(seq))
-        kv_->freeSequence(seq);
-}
-
-void
 PipelinedEngine::ensureAttnScratch(std::size_t ctx)
 {
     if (ctx <= scratchCtx_)
@@ -297,11 +273,21 @@ PipelinedEngine::ensureAttnScratch(std::size_t ctx)
 std::vector<RequestOutput>
 PipelinedEngine::step()
 {
+    auto driver = batcher_.driverScope();
     std::vector<RequestOutput> finished;
     // Lifecycle first: cancellations and expired deadlines retire
     // (and release pages) before admission, so freed capacity is
-    // available to this very round's admission decision.
-    processLifecycle(finished);
+    // available to this very round's admission decision. The sweep
+    // retires queued requests; the cancelled ids it hands back that
+    // are not queued occupy slots.
+    std::unordered_set<std::int64_t> cancelled = batcher_.sweep(finished);
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+        if (!slots_[slot])
+            continue;
+        if (std::optional<FinishReason> why =
+                servingLifecycleEnd(slots_[slot]->req, cancelled))
+            retire(SlotIdx(slot), *why, finished);
+    }
     runRound(admitPending(), finished);
     return finished;
 }
@@ -321,128 +307,41 @@ PipelinedEngine::slotFaulted(SlotIdx slot) const
     return !slotError_[slot.value()].empty();
 }
 
-void
-PipelinedEngine::maybeRetire(SlotIdx slot,
-                             std::vector<RequestOutput> &finished)
+PipelinedEngine::ActiveSeq
+PipelinedEngine::releaseSlot(SlotIdx slot)
 {
-    ActiveSeq &a = *slots_[slot.value()];
-    if (!servingReachedEnd(a.req, a.tokens))
-        return;
-    // The finish reason is judged against the (possibly resumed)
-    // request's own budget, but the reported tokens span the whole
-    // original request: pre-preemption tokens first.
-    RequestOutput r = servingMakeOutput(
-        a.req, std::move(a.tokens), a.prefillSeconds, a.decodeSeconds);
-    if (!a.saved.empty())
-        r.tokens.insert(r.tokens.begin(), a.saved.begin(),
-                        a.saved.end());
-    r.preemptions = a.preemptions;
-    // Early retirement: the pages go back to the pool *now*, while
-    // the co-batch keeps decoding, so a freed slot can take the next
-    // queued request at the following round's admission.
-    freeSlotKv(slot);
-    {
-        MutexLock lk(frontMu_);
-        activeIds_.erase(a.req.id);
-    }
-    slots_[slot.value()].reset();
-    freeSlots_.insert(
-        std::lower_bound(freeSlots_.begin(), freeSlots_.end(),
-                         slot.value(),
-                         std::greater<std::size_t>()),
-        slot.value());
-    finished.push_back(std::move(r));
-}
-
-void
-PipelinedEngine::retireTerminal(SlotIdx slot, FinishReason reason,
-                                std::string errorMessage,
-                                std::vector<RequestOutput> &finished)
-{
-    ActiveSeq &a = *slots_[slot.value()];
-    std::vector<int> tokens = std::move(a.saved);
-    tokens.insert(tokens.end(), a.tokens.begin(), a.tokens.end());
-    RequestOutput r = servingMakeTerminalOutput(
-        a.req, std::move(tokens), reason, std::move(errorMessage),
-        a.prefillSeconds, a.decodeSeconds);
-    r.preemptions = a.preemptions;
-    freeSlotKv(slot);
-    {
-        MutexLock lk(frontMu_);
-        activeIds_.erase(a.req.id);
-    }
-    slots_[slot.value()].reset();
-    freeSlots_.insert(
-        std::lower_bound(freeSlots_.begin(), freeSlots_.end(),
-                         slot.value(),
-                         std::greater<std::size_t>()),
-        slot.value());
+    // A request that faulted before its first append holds no KV
+    // state; freeing it anyway would (rightly) trip the cache's
+    // double-free detection.
+    SeqId seq = seqOf(slot);
+    if (kv_->sequenceLive(seq))
+        kv_->freeSequence(seq);
     {
         MutexLock lk(faultMu_);
         slotError_[slot.value()].clear();
     }
-    finished.push_back(std::move(r));
+    ActiveSeq a = std::move(*slots_[slot.value()]);
+    slots_[slot.value()].reset();
+    freeSlots_.insert(
+        std::lower_bound(freeSlots_.begin(), freeSlots_.end(),
+                         slot.value(), std::greater<std::size_t>()),
+        slot.value());
+    return a;
 }
 
 void
-PipelinedEngine::processLifecycle(std::vector<RequestOutput> &finished)
+PipelinedEngine::retire(SlotIdx slot, FinishReason reason,
+                        std::vector<RequestOutput> &finished,
+                        std::string errorMessage)
 {
-    // Snapshot the cancellation set: ids cancelled after this point
-    // are simply handled by the next round, and operating on a local
-    // copy keeps the driver lock-free below (retire sites take their
-    // own brief front-end locks; holding frontMu_ across them would
-    // self-deadlock).
-    std::unordered_set<std::int64_t> cancelled;
-    {
-        MutexLock lk(frontMu_);
-        cancelled.swap(cancelled_);
-    }
-    // Queued requests (including preempted ones awaiting
-    // re-admission): cancellation and deadlines must not wait for
-    // admission.
-    std::vector<ServeRequest> removed;
-    {
-        MutexLock lk(frontMu_);
-        if (batcher_.pending() > 0)
-            removed = batcher_.removeIf([&](const ServeRequest &r) {
-                return cancelled.count(r.id) != 0 ||
-                       servingDeadlineExpired(r);
-            });
-    }
-    for (ServeRequest &r : removed) {
-        FinishReason why = cancelled.count(r.id)
-                               ? FinishReason::Cancelled
-                               : FinishReason::TimedOut;
-        cancelled.erase(r.id);
-        ResumeState rs;
-        auto it = resume_.find(r.id);
-        if (it != resume_.end()) {
-            rs = std::move(it->second);
-            resume_.erase(it);
-        }
-        RequestOutput out = servingMakeTerminalOutput(
-            r, std::move(rs.saved), why, "", rs.prefillSeconds,
-            rs.decodeSeconds);
-        out.preemptions = rs.preemptions;
-        finished.push_back(std::move(out));
-    }
-    // Active sequences: retire and release pages immediately.
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        if (!slots_[slot])
-            continue;
-        const ServeRequest &req = slots_[slot]->req;
-        if (cancelled.count(req.id)) {
-            cancelled.erase(req.id);
-            retireTerminal(SlotIdx(slot), FinishReason::Cancelled,
-                           "", finished);
-        } else if (servingDeadlineExpired(req)) {
-            retireTerminal(SlotIdx(slot), FinishReason::TimedOut,
-                           "", finished);
-        }
-    }
-    // Anything left in the snapshot was stale by the time this round
-    // ran (the request had already finished); cancel() only admits
-    // known ids, so the leftovers just drop with the local set.
+    // The pages go back to the pool *now*, while the co-batch keeps
+    // decoding, so a freed slot can take the next queued request at
+    // the following round's admission.
+    ActiveSeq a = releaseSlot(slot);
+    batcher_.retire(a.req.id);
+    finished.push_back(servingMakeOutput(a.req, reason, std::move(a.carry),
+                                         a.tokens,
+                                         std::move(errorMessage)));
 }
 
 void
@@ -462,13 +361,10 @@ PipelinedEngine::preemptYoungest()
     panicIf(victim == slots_.size(),
             "preemption requested with no active sequences");
 
-    ActiveSeq &a = *slots_[victim];
-    ResumeState rs;
-    rs.saved = std::move(a.saved);
-    rs.saved.insert(rs.saved.end(), a.tokens.begin(), a.tokens.end());
-    rs.preemptions = a.preemptions + 1;
-    rs.prefillSeconds = a.prefillSeconds;
-    rs.decodeSeconds = a.decodeSeconds;
+    ActiveSeq a = releaseSlot(SlotIdx(victim));
+    a.carry.saved.insert(a.carry.saved.end(), a.tokens.begin(),
+                         a.tokens.end());
+    ++a.carry.preemptions;
 
     // Rebuild the request for prefill-recompute: the prompt absorbs
     // every token generated so far and the budget shrinks by the same
@@ -484,87 +380,54 @@ PipelinedEngine::preemptYoungest()
     req.maxNewTokens -= static_cast<int>(a.tokens.size());
     panicIf(req.maxNewTokens <= 0,
             "preempting a request that should have retired");
-
-    freeSlotKv(SlotIdx(victim));
-    slots_[victim].reset();
-    freeSlots_.insert(
-        std::lower_bound(freeSlots_.begin(), freeSlots_.end(), victim,
-                         std::greater<std::size_t>()),
-        victim);
-    resume_[req.id] = std::move(rs);
     ++preemptions_;
-    {
-        // One critical section for the active→queued hand-off, so a
-        // concurrent cancel() finds the id on one side or the other.
-        MutexLock lk(frontMu_);
-        activeIds_.erase(req.id);
-        batcher_.requeue(std::move(req));
-    }
+    // The active→queued hand-off is one front-end call, so a
+    // concurrent cancel() finds the id on one side or the other.
+    batcher_.requeue(std::move(req), std::move(a.carry));
 }
 
 std::vector<SlotIdx>
 PipelinedEngine::admitPending()
 {
-    std::vector<ServeRequest> admitted;
-    {
-        MutexLock lk(frontMu_);
-        if (batcher_.pending() == 0)
-            return {};
+    if (batcher_.pending() == 0)
+        return {};
+    // Admitted ids are already active in the front-end: a cancel()
+    // racing this admission retires them at the next step's sweep.
+    std::vector<QueuedRequest> admitted =
+        batcher_.admit(freeSlots_.size(), kvTokensInUse());
+    // The planner deferred everything. With sequences still
+    // generating that's usually back-pressure — retry next round. But
+    // once the queue head has aged past the limit, waiting on natural
+    // retirement alone can starve it indefinitely behind long-budget
+    // actives: preempt the youngest active sequences (graceful
+    // degradation — their work is recomputed, not lost) until the
+    // head fits. With the engine idle, deferral would be permanent
+    // starvation (a lone request bigger than the whole planner
+    // budget): force the oldest through and let the KV pool itself
+    // diagnose a true overflow.
+    while (admitted.empty() && batcher_.headAged() &&
+           batcher_.active() > 0) {
+        preemptYoungest();
         admitted = batcher_.admit(freeSlots_.size(), kvTokensInUse());
     }
     if (admitted.empty()) {
-        // The planner deferred everything. With sequences still
-        // generating that's usually back-pressure — retry next round.
-        // But once the queue head has aged past the limit, waiting on
-        // natural retirement alone can starve it indefinitely behind
-        // long-budget actives: preempt the youngest active sequences
-        // (graceful degradation — their work is recomputed, not
-        // lost) until the head fits. With the engine idle, deferral
-        // would be permanent starvation (a lone request bigger than
-        // the whole planner budget): force the oldest through and let
-        // the KV pool itself diagnose a true overflow.
-        for (;;) {
-            bool headAged;
-            {
-                MutexLock lk(frontMu_);
-                headAged = batcher_.headAged();
-            }
-            if (!headAged || activeRequests() == 0)
-                break;
-            preemptYoungest();
-            MutexLock lk(frontMu_);
-            admitted =
-                batcher_.admit(freeSlots_.size(), kvTokensInUse());
-            if (!admitted.empty())
-                break;
-        }
-        if (admitted.empty()) {
-            if (activeRequests() > 0)
-                return {};
-            MutexLock lk(frontMu_);
-            admitted.push_back(batcher_.admitOne());
-        }
+        if (batcher_.active() > 0)
+            return {};
+        admitted.push_back(batcher_.admitOne());
     }
     std::vector<SlotIdx> fresh;
     fresh.reserve(admitted.size());
-    for (ServeRequest &req : admitted) {
+    for (QueuedRequest &q : admitted) {
         panicIf(freeSlots_.empty(),
                 "admission exceeded free sequence slots");
         std::size_t slot = freeSlots_.back();
         freeSlots_.pop_back();
-        ActiveSeq a;
-        a.req = std::move(req);
-        a.admitStamp = ++admitCounter_;
-        // A preempted request re-entering: restore what it had
+        // A preempted request re-entering brings back what it had
         // already produced and the wall time it had accumulated.
-        auto it = resume_.find(a.req.id);
-        if (it != resume_.end()) {
-            a.saved = std::move(it->second.saved);
-            a.preemptions = it->second.preemptions;
-            a.prefillSeconds = it->second.prefillSeconds;
-            a.decodeSeconds = it->second.decodeSeconds;
-            resume_.erase(it);
-        }
+        ActiveSeq a;
+        a.req = std::move(q.req);
+        a.carry = std::move(q.carry);
+        a.admitStamp = ++admitCounter_;
         slots_[slot].emplace(std::move(a));
         ActiveSeq &as = *slots_[slot];
         // Prefix-cache hit: attach the cached pages read-only (one
@@ -578,13 +441,6 @@ PipelinedEngine::admitPending()
         as.reservedTokens =
             servingKvDemandNet(as.req, as.prefixLen, kv_->allocQuantum());
         fresh.push_back(SlotIdx(slot));
-    }
-    {
-        // Register before prefill so a cancel() racing the admission
-        // round still finds the id (it retires next lifecycle pass).
-        MutexLock lk(frontMu_);
-        for (SlotIdx slot : fresh)
-            activeIds_.insert(slots_[slot.value()]->req.id);
     }
     return fresh;
 }
@@ -850,8 +706,8 @@ PipelinedEngine::runRound(std::vector<SlotIdx> fresh,
     noteKvUsage();
     for (SlotIdx slot : members) {
         ActiveSeq &a = *slots_[slot.value()];
-        (isFresh[slot.value()] ? a.prefillSeconds : a.decodeSeconds) +=
-            secs;
+        (isFresh[slot.value()] ? a.carry.prefillSeconds
+                               : a.carry.decodeSeconds) += secs;
         std::string slotMsg;
         {
             MutexLock lk(faultMu_);
@@ -859,17 +715,20 @@ PipelinedEngine::runRound(std::vector<SlotIdx> fresh,
         }
         if (!slotMsg.empty() || !roundError.empty()) {
             a.tokens.resize(tokBefore[slot.value()]);
-            retireTerminal(slot, FinishReason::Error,
-                           slotMsg.empty() ? roundError : slotMsg,
-                           finished);
+            retire(slot, FinishReason::Error, finished,
+                   slotMsg.empty() ? roundError : slotMsg);
             continue;
         }
         // Cache the prompt's closed pages (pin; idempotent for pages
-        // already in the tree) before maybeRetire can free the slot —
+        // already in the tree) before retirement can free the slot —
         // pinned pages survive their inserting sequence.
         if (prefix_ && isFresh[slot.value()])
             prefix_->insert(seqOf(slot), a.req.prompt);
-        maybeRetire(slot, finished);
+        // The finish reason is judged against the (possibly resumed)
+        // request's own budget; the output spans the whole original
+        // request, pre-preemption tokens first.
+        if (servingReachedEnd(a.req, a.tokens))
+            retire(slot, servingFinishReason(a.req, a.tokens), finished);
     }
 }
 

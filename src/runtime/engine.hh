@@ -13,7 +13,12 @@
  * The public surface is the request-level serving API (serving.hh):
  * the engine holds a fixed pool of sequence slots, and every step()
  * is one continuous-batching round with one layer sweep and one
- * weight stream. Algorithm 2 admits queued requests into free slots;
+ * weight stream. The request lifecycle — the admission queue,
+ * cancellation, deadlines of queued requests, the active-id set and
+ * preempted requests' carry — lives in the composed ContinuousBatcher,
+ * the same front-end ReferenceEngine uses; this engine adds the KV
+ * budget check at submit() and owns only its slots. Algorithm 2
+ * (inside the batcher) admits queued requests into free slots;
  * as each layer's weights arrive they serve both the Algorithm 1
  * decode chains of the already-active sequences (one token each) and
  * the prefill of the admitted prompts, whose first token is sampled
@@ -33,8 +38,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/strong_types.hh"
@@ -158,17 +161,13 @@ class PipelinedEngine : public Engine
     {
         ServeRequest req;
         std::vector<int> tokens;  ///< generated since (re)admission
-        /** Tokens generated before a preemption: the resumed req's
-         *  prompt carries them for KV recompute, but the output must
-         *  report them as generated (saved + tokens). */
-        std::vector<int> saved;
+        /** Pre-preemption tokens, preemption count and phase times;
+         *  the output reports carry.saved + tokens. */
+        ServeCarry carry;
         int next = 0;             ///< token to embed next round
-        int preemptions = 0;      ///< times this request was preempted
         /** Monotonic admission stamp; the preemption victim is the
          *  slot with the highest one (youngest loses least work). */
         std::uint64_t admitStamp = 0;
-        double prefillSeconds = 0.0;
-        double decodeSeconds = 0.0;
         /** Prompt tokens attached from the prefix cache at admission
          *  (0 = cold): prefill starts at this position. */
         std::size_t prefixLen = 0;
@@ -177,16 +176,6 @@ class PipelinedEngine : public Engine
          *  admission so later cache eviction can't skew the
          *  accounting. */
         std::size_t reservedTokens = 0;
-    };
-
-    /** Carried-over state of a preempted request while it waits in
-     *  the batcher queue for re-admission, keyed by request id. */
-    struct ResumeState
-    {
-        std::vector<int> saved;
-        int preemptions = 0;
-        double prefillSeconds = 0.0;
-        double decodeSeconds = 0.0;
     };
 
     /** Per-round plumbing (buffers reused across rounds). */
@@ -210,12 +199,14 @@ class PipelinedEngine : public Engine
     /** Task body: sample each admitted request's first token. */
     void samplePrefilled(const std::vector<SlotIdx> &slots,
                          ThreadPool *pool);
-    void maybeRetire(SlotIdx slot,
-                     std::vector<RequestOutput> &finished);
-    void processLifecycle(std::vector<RequestOutput> &finished);
-    void retireTerminal(SlotIdx slot, FinishReason reason,
-                        std::string errorMessage,
-                        std::vector<RequestOutput> &finished);
+    /** Free @p slot's KV, clear its fault mark and return it to the
+     *  free list; returns the request state it held. */
+    ActiveSeq releaseSlot(SlotIdx slot);
+    /** Retire @p slot's request with @p reason: release the slot,
+     *  drop the id from the front-end and emit its output. */
+    void retire(SlotIdx slot, FinishReason reason,
+                std::vector<RequestOutput> &finished,
+                std::string errorMessage = {});
     void preemptYoungest();
     /** The slot->sequence identity map: slot i owns KV sequence i.
      *  The ONLY place a SlotIdx becomes a
@@ -225,7 +216,6 @@ class PipelinedEngine : public Engine
      *  thread); first message wins. */
     void noteSlotFault(SlotIdx slot, const char *what);
     bool slotFaulted(SlotIdx slot) const;
-    void freeSlotKv(SlotIdx slot);
     std::size_t kvContextLen(SlotIdx slot) const;
     std::size_t kvTokensInUse() const;
     void ensureAttnScratch(std::size_t ctx);
@@ -247,14 +237,11 @@ class PipelinedEngine : public Engine
      *  layers); submit() rejects requests that can never fit it.
      *  Declared before batcher_ for the same reason. */
     std::size_t kvBudgetTokens_ = 0;
-    /** Front-end lock: submit(), cancel(), pendingRequests() and
-     *  activeRequests() are callable from any thread while one driver
-     *  thread runs step() (see the Engine contract in serving.hh).
-     *  Guards the admission queue, the cancellation set and the id
-     *  index of occupied slots; every other member is driver-owned.
-     *  Lock-ordering leaf: never held while taking another lock. */
-    mutable Mutex frontMu_;
-    ContinuousBatcher batcher_ GUARDED_BY(frontMu_);
+    /** The thread-safe front-end (admission queue, cancel set,
+     *  active ids, preempted requests' carry): the only state
+     *  submit(), cancel(), pendingRequests() and activeRequests()
+     *  touch from other threads. Every other member is driver-owned. */
+    ContinuousBatcher batcher_;
 
     // Model shapes hoisted from cfg (set once in the constructor).
     std::size_t h1_, qDim_, kvDim_, qkvDim_, vocab_;
@@ -265,14 +252,7 @@ class PipelinedEngine : public Engine
     std::vector<std::size_t> freeSlots_;  ///< descending; back = min
     std::size_t kvPeakPages_ = 0;
 
-    // Request lifecycle / fault containment.
-    std::unordered_set<std::int64_t> cancelled_
-        GUARDED_BY(frontMu_);  ///< ids to cancel at the next step()
-    /** Ids currently occupying slots_, maintained at admission and
-     *  retirement so cancel() can probe active requests without
-     *  touching the driver-owned slots_. */
-    std::unordered_set<std::int64_t> activeIds_ GUARDED_BY(frontMu_);
-    std::unordered_map<std::int64_t, ResumeState> resume_;
+    // Preemption / fault containment.
     std::uint64_t admitCounter_ = 0;
     std::size_t preemptions_ = 0;
     /** Per-slot fault messages recorded by pipeline tasks mid-round

@@ -26,11 +26,7 @@ ReferenceEngine::ReferenceEngine(const ModelWeights &weights,
 void
 ReferenceEngine::reset()
 {
-    {
-        MutexLock lk(frontMu_);
-        fatalIf(!pending_.empty() || !active_.empty(),
-                "reset() with requests in flight");
-    }
+    fatalIf(!idle(), "reset() with requests in flight");
     seqs_.clear();
     freeSeqs_.clear();
 }
@@ -74,152 +70,87 @@ void
 ReferenceEngine::submit(ServeRequest req)
 {
     servingValidateRequest(req, w_.cfg.vocab);
-    servingStampSubmitted(req);
-    MutexLock lk(frontMu_);
-    pending_.push_back(std::move(req));
+    batcher_.enqueue(std::move(req));
 }
 
 bool
 ReferenceEngine::cancel(std::int64_t id)
 {
-    MutexLock lk(frontMu_);
-    bool found = activeIds_.count(id) != 0;
-    for (const ServeRequest &r : pending_)
-        found = found || r.id == id;
-    if (found)
-        cancelled_.insert(id);
-    return found;
+    return batcher_.cancel(id);
 }
 
 std::size_t
 ReferenceEngine::pendingRequests() const
 {
-    MutexLock lk(frontMu_);
-    return pending_.size();
+    return batcher_.pending();
 }
 
 std::size_t
 ReferenceEngine::activeRequests() const
 {
-    MutexLock lk(frontMu_);
-    return activeIds_.size();
-}
-
-bool
-ReferenceEngine::reachedEnd(const ActiveRequest &a) const
-{
-    return servingReachedEnd(a.req, a.tokens);
+    return batcher_.active();
 }
 
 void
-ReferenceEngine::retireFinished(std::vector<RequestOutput> &out)
+ReferenceEngine::retire(ActiveRequest a, FinishReason reason,
+                        std::vector<RequestOutput> &out,
+                        std::string errorMessage)
+{
+    freeSeq(a.seq);
+    batcher_.retire(a.req.id);
+    out.push_back(servingMakeOutput(a.req, reason, std::move(a.carry),
+                                    a.tokens, std::move(errorMessage)));
+}
+
+void
+ReferenceEngine::retireWhere(
+    std::vector<RequestOutput> &out,
+    const std::function<std::optional<FinishReason>(
+        const ActiveRequest &)> &reasonOf)
 {
     std::vector<ActiveRequest> still;
     still.reserve(active_.size());
     for (ActiveRequest &a : active_) {
-        if (!reachedEnd(a)) {
+        if (std::optional<FinishReason> why = reasonOf(a))
+            retire(std::move(a), *why, out);
+        else
             still.push_back(std::move(a));
-            continue;
-        }
-        RequestOutput r =
-            servingMakeOutput(a.req, std::move(a.tokens),
-                              a.prefillSeconds, a.decodeSeconds);
-        freeSeq(a.seq);
-        {
-            MutexLock lk(frontMu_);
-            activeIds_.erase(a.req.id);
-        }
-        out.push_back(std::move(r));
     }
     active_ = std::move(still);
-}
-
-void
-ReferenceEngine::processLifecycle(std::vector<RequestOutput> &out)
-{
-    // Snapshot the cancellation set (ids cancelled from here on are
-    // handled next round) so the driver works on a local copy — the
-    // same discipline as PipelinedEngine::processLifecycle.
-    std::unordered_set<std::int64_t> cancelled;
-    {
-        MutexLock lk(frontMu_);
-        cancelled.swap(cancelled_);
-    }
-
-    // Queued requests: cancelled or expired ones retire without ever
-    // running (no tokens, no KV).
-    {
-        MutexLock lk(frontMu_);
-        std::deque<ServeRequest> keptPending;
-        for (ServeRequest &r : pending_) {
-            if (cancelled.count(r.id)) {
-                out.push_back(servingMakeTerminalOutput(
-                    r, {}, FinishReason::Cancelled, {}, 0.0, 0.0));
-            } else if (servingDeadlineExpired(r)) {
-                out.push_back(servingMakeTerminalOutput(
-                    r, {}, FinishReason::TimedOut, {}, 0.0, 0.0));
-            } else {
-                keptPending.push_back(std::move(r));
-            }
-        }
-        pending_ = std::move(keptPending);
-    }
-
-    // Active requests: retire with their partial tokens and release
-    // KV immediately.
-    std::vector<ActiveRequest> keptActive;
-    keptActive.reserve(active_.size());
-    for (ActiveRequest &a : active_) {
-        FinishReason reason = FinishReason::Length;
-        if (cancelled.count(a.req.id))
-            reason = FinishReason::Cancelled;
-        else if (servingDeadlineExpired(a.req))
-            reason = FinishReason::TimedOut;
-        else {
-            keptActive.push_back(std::move(a));
-            continue;
-        }
-        {
-            MutexLock lk(frontMu_);
-            activeIds_.erase(a.req.id);
-        }
-        out.push_back(servingMakeTerminalOutput(
-            a.req, std::move(a.tokens), reason, {},
-            a.prefillSeconds, a.decodeSeconds));
-        freeSeq(a.seq);
-    }
-    active_ = std::move(keptActive);
-    // Stale cancelled ids (request already finished) drop with the
-    // local snapshot.
 }
 
 std::vector<RequestOutput>
 ReferenceEngine::step()
 {
+    auto driver = batcher_.driverScope();
     std::vector<RequestOutput> finished;
-    processLifecycle(finished);
+    // Lifecycle first, before any compute runs: the sweep retires
+    // cancelled and expired queued requests (no tokens, no KV); the
+    // cancelled ids it hands back are active ones, which retire with
+    // their partial tokens and release KV immediately.
+    std::unordered_set<std::int64_t> cancelled = batcher_.sweep(finished);
+    retireWhere(finished, [&](const ActiveRequest &a) {
+        return servingLifecycleEnd(a.req, cancelled);
+    });
+    auto naturalEnd = [](const ActiveRequest &a) {
+        std::optional<FinishReason> why;
+        if (servingReachedEnd(a.req, a.tokens))
+            why = servingFinishReason(a.req, a.tokens);
+        return why;
+    };
 
     // Admission: the oracle has no pipeline width or KV pool to
-    // respect — every pending request is admitted and prefilled
-    // immediately, which is exactly what makes it the per-request
-    // oracle for any admission schedule the pipelined engine picks.
-    // A prefill fault (e.g. injected KV-allocation failure in quant
+    // respect — every request queued when the round starts is
+    // admitted in FIFO order and prefilled immediately, which is
+    // exactly what makes it the per-request oracle for any admission
+    // schedule the pipelined engine picks. Only this thread removes
+    // from the queue, so the snapshot count stays admittable. A
+    // prefill fault (e.g. injected KV-allocation failure in quant
     // mode) retires only that request with FinishReason::Error; the
     // rest of the queue still admits.
-    std::deque<ServeRequest> admitted;
-    {
-        // One critical section for the queued→active hand-off: the
-        // ids register as active in the same swap that empties the
-        // queue, so a concurrent cancel() always finds them.
-        MutexLock lk(frontMu_);
-        admitted.swap(pending_);
-        for (const ServeRequest &r : admitted)
-            activeIds_.insert(r.id);
-    }
-    while (!admitted.empty()) {
+    for (std::size_t n = batcher_.pending(); n > 0; --n) {
         ActiveRequest a;
-        a.req = std::move(admitted.front());
-        admitted.pop_front();
+        a.req = batcher_.admitOne().req;
         a.seq = allocSeq();
         auto t0 = std::chrono::steady_clock::now();
         try {
@@ -229,20 +160,14 @@ ReferenceEngine::step()
             a.tokens.push_back(static_cast<int>(
                 argmax({logits.data(), logits.size()})));
         } catch (const FatalError &e) {
-            freeSeq(a.seq);
-            {
-                MutexLock lk(frontMu_);
-                activeIds_.erase(a.req.id);
-            }
-            finished.push_back(servingMakeTerminalOutput(
-                a.req, {}, FinishReason::Error, e.what(),
-                servingSecondsSince(t0), 0.0));
+            a.carry.prefillSeconds = servingSecondsSince(t0);
+            retire(std::move(a), FinishReason::Error, finished, e.what());
             continue;
         }
-        a.prefillSeconds = servingSecondsSince(t0);
+        a.carry.prefillSeconds = servingSecondsSince(t0);
         active_.push_back(std::move(a));
     }
-    retireFinished(finished);
+    retireWhere(finished, naturalEnd);
     if (active_.empty())
         return finished;
 
@@ -262,14 +187,7 @@ ReferenceEngine::step()
             a.tokens.push_back(static_cast<int>(
                 argmax({logits.data(), logits.size()})));
         } catch (const FatalError &e) {
-            freeSeq(a.seq);
-            {
-                MutexLock lk(frontMu_);
-                activeIds_.erase(a.req.id);
-            }
-            finished.push_back(servingMakeTerminalOutput(
-                a.req, std::move(a.tokens), FinishReason::Error,
-                e.what(), a.prefillSeconds, a.decodeSeconds));
+            retire(std::move(a), FinishReason::Error, finished, e.what());
             continue;
         }
         still.push_back(std::move(a));
@@ -277,8 +195,8 @@ ReferenceEngine::step()
     active_ = std::move(still);
     double secs = servingSecondsSince(t0);
     for (ActiveRequest &a : active_)
-        a.decodeSeconds += secs;
-    retireFinished(finished);
+        a.carry.decodeSeconds += secs;
+    retireWhere(finished, naturalEnd);
     return finished;
 }
 

@@ -16,14 +16,13 @@
 #define MOELIGHT_RUNTIME_REFERENCE_ENGINE_HH
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "common/strong_types.hh"
-#include "common/sync.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime/serving.hh"
 #include "runtime/weights.hh"
@@ -33,10 +32,12 @@ namespace moelight {
 /**
  * Single-threaded oracle. Not performance-oriented: prefill is
  * processed token by token through all layers. The compute itself is
- * sequential, but the Engine front-end contract still holds: submit /
- * cancel / pendingRequests / activeRequests are callable from any
- * thread concurrently with one driver's step() (same locking split
- * as PipelinedEngine, so front-end tests exercise both engines).
+ * sequential, but the request lifecycle is PipelinedEngine's: both
+ * compose the same ContinuousBatcher front-end (here with micro-batch
+ * 1 and no KV budget, admitting every queued request in FIFO order),
+ * so submit / cancel / pendingRequests / activeRequests are callable
+ * from any thread concurrently with one driver's step(), and the
+ * front-end tests exercise one implementation through both engines.
  */
 class ReferenceEngine : public Engine
 {
@@ -96,18 +97,23 @@ class ReferenceEngine : public Engine
         SeqId seq{0};               ///< index into seqs_
         std::vector<int> tokens;    ///< generated so far
         std::vector<float> hidden;  ///< last pre-norm hidden state
-        double prefillSeconds = 0.0;
-        double decodeSeconds = 0.0;
+        ServeCarry carry;           ///< phase times for the output
     };
 
     SeqCache &cacheFor(SeqId seq);
     SeqId allocSeq();
     void freeSeq(SeqId seq);
-    bool reachedEnd(const ActiveRequest &a) const;
-    void retireFinished(std::vector<RequestOutput> &out);
-    /** Retire cancelled and deadline-expired requests — queued or
-     *  active — with terminal outputs, before any compute runs. */
-    void processLifecycle(std::vector<RequestOutput> &out);
+    /** Free @p a's KV, drop its id from the front-end and emit its
+     *  output with @p reason. */
+    void retire(ActiveRequest a, FinishReason reason,
+                std::vector<RequestOutput> &out,
+                std::string errorMessage = {});
+    /** Retire every active request @p reasonOf gives a reason for,
+     *  keeping the rest in order. */
+    void retireWhere(
+        std::vector<RequestOutput> &out,
+        const std::function<std::optional<FinishReason>(
+            const ActiveRequest &)> &reasonOf);
 
     const ModelWeights &w_;
     std::optional<QuantKind> kvQuant_;
@@ -115,16 +121,8 @@ class ReferenceEngine : public Engine
     std::vector<SeqCache> seqs_;
     std::vector<SeqId> freeSeqs_;
     std::vector<ActiveRequest> active_;  ///< driver-owned
-    /** Front-end lock (same split as PipelinedEngine::frontMu_):
-     *  guards the submission queue, the cancellation set and the id
-     *  mirror of active_. Lock-ordering leaf. */
-    mutable Mutex frontMu_;
-    std::deque<ServeRequest> pending_ GUARDED_BY(frontMu_);
-    std::unordered_set<std::int64_t> cancelled_
-        GUARDED_BY(frontMu_);  ///< ids to cancel at the next step()
-    /** Ids of requests in active_, so cancel() needn't touch the
-     *  driver-owned vector. */
-    std::unordered_set<std::int64_t> activeIds_ GUARDED_BY(frontMu_);
+    /** The thread-safe front-end shared with PipelinedEngine. */
+    ContinuousBatcher batcher_{/*microBatch=*/1, /*kvBudgetTokens=*/0};
 };
 
 } // namespace moelight

@@ -72,18 +72,31 @@ ContinuousBatcher::kvDemand(const ServeRequest &req) const
                          : servingKvDemand(req, pageQuantum_);
 }
 
+bool
+ContinuousBatcher::queued(std::int64_t id) const
+{
+    return std::any_of(queue_.begin(), queue_.end(),
+                       [id](const QueuedRequest &q) {
+                           return q.req.id == id;
+                       });
+}
+
 void
 ContinuousBatcher::enqueue(ServeRequest req)
 {
-    MOELIGHT_ASSERT_SERIAL(gate_);
-    queue_.push_back(std::move(req));
+    servingStampSubmitted(req);
+    MutexLock lk(mu_);
+    fatalIf(active_.count(req.id) != 0 || queued(req.id),
+            "request id ", req.id,
+            " is already in flight (queued or active)");
+    queue_.push_back({std::move(req), {}});
 }
 
-std::vector<ServeRequest>
+std::vector<QueuedRequest>
 ContinuousBatcher::admit(std::size_t freeSlots,
                          std::size_t kvTokensInUse)
 {
-    MOELIGHT_ASSERT_SERIAL(gate_);
+    MutexLock lk(mu_);
     // Rounds that never consider the head — nothing queued, or no
     // free sequence slot for anyone — must not advance its age: the
     // deferral count measures rounds that looked at the head and
@@ -117,12 +130,9 @@ ContinuousBatcher::admit(std::size_t freeSlots,
     // so free_budget grows monotonically until the head fits — or
     // the engine idles and force-admits it via admitOne().
     if (headDeferrals_ >= headAgeLimit_) {
-        std::vector<ServeRequest> only;
-        if (kvDemand(queue_.front()) <= free_budget) {
-            headDeferrals_ = 0;
-            only.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
+        std::vector<QueuedRequest> only;
+        if (kvDemand(queue_.front().req) <= free_budget)
+            only.push_back(popHead());
         return only;
     }
 
@@ -146,8 +156,9 @@ ContinuousBatcher::admit(std::size_t freeSlots,
         // the full prompt (the cached prefix is not private demand);
         // clamp the prompt term so promptLen + genLen always equals
         // the true demand without underflowing the slack.
-        std::size_t demand = kvDemand(queue_[i]);
-        std::size_t pl = std::min(queue_[i].prompt.size(), demand);
+        const ServeRequest &req = queue_[i].req;
+        std::size_t demand = kvDemand(req);
+        std::size_t pl = std::min(req.prompt.size(), demand);
         descr.push_back({static_cast<int>(i), static_cast<int>(pl),
                          static_cast<int>(demand - pl)});
     }
@@ -155,29 +166,28 @@ ContinuousBatcher::admit(std::size_t freeSlots,
         batchRequests(std::move(descr), n_ub, ubs, per_partition);
 
     std::vector<bool> taken(window, false);
-    std::vector<ServeRequest> admitted;
+    std::vector<QueuedRequest> admitted;
     for (const auto &mb : plan.microBatches)
         for (const Request &r : mb) {
             std::size_t qi = static_cast<std::size_t>(r.id);
             taken[qi] = true;
+            active_.insert(queue_[qi].req.id);
             admitted.push_back(std::move(queue_[qi]));
         }
-    bool headAdmitted = !admitted.empty() && taken[0];
     if (admitted.empty()) {
         // The per-partition split deferred everything. If the oldest
         // request alone fits the *whole* remaining budget, send it
         // through by itself: otherwise a large-but-fitting request
         // could wait forever behind the split while smaller later
         // arrivals keep the engine busy.
-        if (kvDemand(queue_.front()) <= free_budget) {
-            headAdmitted = true;
-            admitted.push_back(std::move(queue_.front()));
-            queue_.pop_front();
+        if (kvDemand(queue_.front().req) <= free_budget) {
+            admitted.push_back(popHead());
+            return admitted;
         }
     } else {
         // Deferred requests keep their arrival order; the tail beyond
         // the planning window was never touched.
-        std::deque<ServeRequest> rest;
+        std::deque<QueuedRequest> rest;
         for (std::size_t i = 0; i < window; ++i)
             if (!taken[i])
                 rest.push_back(std::move(queue_[i]));
@@ -185,65 +195,125 @@ ContinuousBatcher::admit(std::size_t freeSlots,
             rest.push_back(std::move(queue_[i]));
         queue_ = std::move(rest);
     }
-    // The single aging site: every path through here planned over a
-    // window containing the head, so by now it was either admitted
-    // (age resets for the next head) or considered and passed over
-    // (age advances). The early returns above — empty queue, no free
-    // slots, the aged-head hold — deliberately bypass this.
-    headDeferrals_ = headAdmitted ? 0 : headDeferrals_ + 1;
+    // The single aging site for a planned round: every path through
+    // here planned over a window containing the head, so by now it
+    // was either admitted (age resets for the next head) or
+    // considered and passed over (age advances). The early returns
+    // above — empty queue, no free slots, the aged-head hold — and
+    // the head's solo admission (popHead resets the age) bypass it.
+    headDeferrals_ = !admitted.empty() && taken[0] ? 0 : headDeferrals_ + 1;
     return admitted;
 }
 
-void
-ContinuousBatcher::requeue(ServeRequest req)
+QueuedRequest
+ContinuousBatcher::popHead()
 {
-    MOELIGHT_ASSERT_SERIAL(gate_);
-    if (queue_.empty())
-        queue_.push_front(std::move(req));
-    else
-        queue_.insert(queue_.begin() + 1, std::move(req));
+    headDeferrals_ = 0;
+    QueuedRequest q = std::move(queue_.front());
+    queue_.pop_front();
+    active_.insert(q.req.id);
+    return q;
 }
 
-std::vector<ServeRequest>
-ContinuousBatcher::removeIf(
-    const std::function<bool(const ServeRequest &)> &pred)
+QueuedRequest
+ContinuousBatcher::admitOne()
 {
-    MOELIGHT_ASSERT_SERIAL(gate_);
-    std::vector<ServeRequest> removed;
-    std::deque<ServeRequest> kept;
-    bool headRemoved = !queue_.empty() && pred(queue_.front());
-    for (ServeRequest &r : queue_) {
-        if (pred(r))
-            removed.push_back(std::move(r));
-        else
-            kept.push_back(std::move(r));
+    MutexLock lk(mu_);
+    panicIf(queue_.empty(), "admitOne() on an empty queue");
+    return popHead();
+}
+
+void
+ContinuousBatcher::requeue(ServeRequest req, ServeCarry carry)
+{
+    MutexLock lk(mu_);
+    panicIf(active_.erase(req.id) == 0,
+            "requeue() of request ", req.id, ", which is not active");
+    QueuedRequest q{std::move(req), std::move(carry)};
+    if (queue_.empty())
+        queue_.push_front(std::move(q));
+    else
+        queue_.insert(queue_.begin() + 1, std::move(q));
+}
+
+void
+ContinuousBatcher::retire(std::int64_t id)
+{
+    MutexLock lk(mu_);
+    active_.erase(id);
+    // A cancel that lost the race with this retirement must not carry
+    // over to a later request reusing the id.
+    cancelled_.erase(id);
+}
+
+bool
+ContinuousBatcher::cancel(std::int64_t id)
+{
+    MutexLock lk(mu_);
+    bool found = active_.count(id) != 0 || queued(id);
+    if (found)
+        cancelled_.insert(id);
+    return found;
+}
+
+std::unordered_set<std::int64_t>
+ContinuousBatcher::sweep(std::vector<RequestOutput> &finished)
+{
+    MutexLock lk(mu_);
+    std::unordered_set<std::int64_t> cancelled;
+    cancelled.swap(cancelled_);
+    // Queued requests (preempted ones awaiting re-admission
+    // included): cancellation and deadlines must not wait for
+    // admission.
+    std::deque<QueuedRequest> kept;
+    bool headRemoved = false;
+    for (QueuedRequest &q : queue_) {
+        std::optional<FinishReason> why =
+            servingLifecycleEnd(q.req, cancelled);
+        if (!why) {
+            kept.push_back(std::move(q));
+            continue;
+        }
+        cancelled.erase(q.req.id);
+        headRemoved = headRemoved || kept.empty();
+        finished.push_back(
+            servingMakeOutput(q.req, *why, std::move(q.carry), {}));
     }
     queue_ = std::move(kept);
     // The head's accumulated age belonged to the removed request; the
     // new head starts earning its own.
     if (headRemoved)
         headDeferrals_ = 0;
-    return removed;
+    return cancelled;
+}
+
+std::size_t
+ContinuousBatcher::pending() const
+{
+    MutexLock lk(mu_);
+    return queue_.size();
+}
+
+std::size_t
+ContinuousBatcher::active() const
+{
+    MutexLock lk(mu_);
+    return active_.size();
 }
 
 bool
-ContinuousBatcher::contains(std::int64_t id) const
+ContinuousBatcher::headAged() const
 {
-    for (const ServeRequest &r : queue_)
-        if (r.id == id)
-            return true;
-    return false;
+    MutexLock lk(mu_);
+    return !queue_.empty() && headDeferrals_ >= headAgeLimit_;
 }
 
-ServeRequest
-ContinuousBatcher::admitOne()
+void
+ContinuousBatcher::setDemandOracle(
+    std::function<std::size_t(const ServeRequest &)> oracle)
 {
-    MOELIGHT_ASSERT_SERIAL(gate_);
-    panicIf(queue_.empty(), "admitOne() on an empty queue");
-    headDeferrals_ = 0;
-    ServeRequest req = std::move(queue_.front());
-    queue_.pop_front();
-    return req;
+    MutexLock lk(mu_);
+    demandOracle_ = std::move(oracle);
 }
 
 } // namespace moelight

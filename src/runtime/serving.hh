@@ -27,7 +27,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
@@ -39,7 +41,8 @@ namespace moelight {
 struct ServeRequest
 {
     /** Caller-chosen id, echoed in the RequestOutput. Outputs are
-     *  keyed by it, so ids of in-flight requests should be unique. */
+     *  keyed by it, so submit() rejects an id that is still in flight
+     *  (queued or active); reuse after retirement is fine. */
     std::int64_t id = 0;
     /** Prompt token ids; must be non-empty and < vocab. */
     std::vector<int> prompt;
@@ -183,46 +186,56 @@ servingDeadlineExpired(const ServeRequest &req)
                req.deadlineMs;
 }
 
-/** Build the RequestOutput for a finished request — one place for
- *  both engines, so a new output field cannot be wired into one
- *  retirement path and forgotten in the other. */
-// NOLINTBEGIN(bugprone-easily-swappable-parameters): the two
-// durations are phase timings in a fixed (prefill, decode) order that
-// mirrors the RequestOutput fields they fill one line later.
-inline RequestOutput
-servingMakeOutput(const ServeRequest &req, std::vector<int> &&tokens,
-                  double prefillSeconds, double decodeSeconds)
-// NOLINTEND(bugprone-easily-swappable-parameters)
+/** Why @p req must retire at the top of a round, if at all: it was
+ *  cancelled (its id is in @p cancelled), else its deadline passed.
+ *  One rule for queued requests (ContinuousBatcher::sweep) and for
+ *  both engines' active ones. */
+inline std::optional<FinishReason>
+servingLifecycleEnd(const ServeRequest &req,
+                    const std::unordered_set<std::int64_t> &cancelled)
 {
-    RequestOutput r;
-    r.id = req.id;
-    r.finishReason = servingFinishReason(req, tokens);
-    r.tokens = std::move(tokens);
-    r.prefillSeconds = prefillSeconds;
-    r.decodeSeconds = decodeSeconds;
-    return r;
+    if (cancelled.count(req.id) != 0)
+        return FinishReason::Cancelled;
+    if (servingDeadlineExpired(req))
+        return FinishReason::TimedOut;
+    return std::nullopt;
 }
 
-/** Build the RequestOutput for a request retired on a terminal
- *  lifecycle event (Cancelled / TimedOut / Error) with whatever
- *  tokens it had generated so far — the single construction point
- *  for both engines, like servingMakeOutput for natural finishes. */
-// NOLINTBEGIN(bugprone-easily-swappable-parameters): same (prefill,
-// decode) timing pair as servingMakeOutput above.
+/**
+ * What a request carries across (re-)admissions into its output: the
+ * tokens it generated before a KV-pressure preemption (its resumed
+ * prompt holds them for recompute, but the output reports them as
+ * generated), the preemption count, and the wall time of the phases
+ * it has run so far. Empty for a request never admitted.
+ */
+struct ServeCarry
+{
+    std::vector<int> saved;
+    int preemptions = 0;
+    double prefillSeconds = 0.0;
+    double decodeSeconds = 0.0;
+};
+
+/** Build the RequestOutput of a request retiring with @p reason —
+ *  natural finishes pass servingFinishReason() — reporting
+ *  @p carry.saved followed by @p tokens. The single construction
+ *  point for every retirement path of both engines and the queue
+ *  sweep, so a new output field cannot be wired into one and
+ *  forgotten in another. */
 inline RequestOutput
-servingMakeTerminalOutput(const ServeRequest &req,
-                          std::vector<int> &&tokens,
-                          FinishReason reason, std::string errorMessage,
-                          double prefillSeconds, double decodeSeconds)
-// NOLINTEND(bugprone-easily-swappable-parameters)
+servingMakeOutput(const ServeRequest &req, FinishReason reason,
+                  ServeCarry carry, const std::vector<int> &tokens,
+                  std::string errorMessage = {})
 {
     RequestOutput r;
     r.id = req.id;
     r.finishReason = reason;
-    r.tokens = std::move(tokens);
+    r.tokens = std::move(carry.saved);
+    r.tokens.insert(r.tokens.end(), tokens.begin(), tokens.end());
     r.errorMessage = std::move(errorMessage);
-    r.prefillSeconds = prefillSeconds;
-    r.decodeSeconds = decodeSeconds;
+    r.preemptions = carry.preemptions;
+    r.prefillSeconds = carry.prefillSeconds;
+    r.decodeSeconds = carry.decodeSeconds;
     return r;
 }
 
@@ -281,7 +294,8 @@ servingKvDemandNet(const ServeRequest &req, std::size_t cachedTokens,
  * and idle() may be called from any thread, concurrently with a
  * step() in flight. step() / drain() / generate() belong to exactly
  * one driver thread at a time — two concurrent step() calls are a
- * contract violation (detected in debug builds). See
+ * contract violation (debug builds panic on it through the batcher's
+ * driver gate). See
  * docs/concurrency.md for the locking model behind this split.
  */
 class Engine
@@ -289,8 +303,8 @@ class Engine
   public:
     virtual ~Engine() = default;
 
-    /** Enqueue @p req. Fatal on empty prompt, out-of-vocab token, or
-     *  non-positive maxNewTokens. */
+    /** Enqueue @p req. Fatal on empty prompt, out-of-vocab token,
+     *  non-positive maxNewTokens, or an id already in flight. */
     virtual void submit(ServeRequest req) = 0;
 
     /** One serving round; returns requests that finished in it. */
@@ -337,19 +351,31 @@ class Engine
     virtual void resetBatchStats() {}
 };
 
+/** A queued request handed across the front-end boundary together
+ *  with its carry (empty unless it was preempted). */
+struct QueuedRequest
+{
+    ServeRequest req;
+    ServeCarry carry;
+};
+
 /**
- * Continuous-batching admission control: a FIFO of submitted requests
- * plus the Algorithm 2 (Appendix A.2) planner deciding, between
- * decode rounds, which of them fit the currently free micro-batch
- * slots and KV budget. Balanced placement and budget-driven deferral
- * come from batchRequests(); deferred requests keep their arrival
- * order and are retried every round, so nothing is dropped.
+ * The serving front-end both engines compose: the admission queue and
+ * the request lifecycle around it. It owns the FIFO of submitted
+ * requests (with each preempted request's carry), the cancel set and
+ * the ids of admitted, still-active requests, and it plans admission
+ * with Algorithm 2 (Appendix A.2): between decode rounds it picks
+ * which queued requests fit the free micro-batch slots and KV budget.
+ * Balanced placement and budget-driven deferral come from
+ * batchRequests(); deferred requests keep their arrival order and are
+ * retried every round, so nothing is dropped.
  *
- * Single-threaded-by-contract: the batcher has no internal locking.
- * It IS touched from several threads — the engine's front-end calls
- * enqueue() from submitters while the driver admits — but every
- * access is serialized externally (PipelinedEngine::frontMu_).
- * Debug builds assert the serialization on every mutating call.
+ * Thread-safe: every method takes mu_, a lock-ordering leaf (the
+ * demand oracle runs under it and must take no lock). Every queued ↔
+ * active hand-off — admit(), admitOne(), requeue() — is one critical
+ * section, so a concurrent cancel() always finds an in-flight id on
+ * one side or the other. The engine keeps only its own active slots;
+ * it reports their retirement through retire().
  */
 class ContinuousBatcher
 {
@@ -377,7 +403,10 @@ class ContinuousBatcher
                       std::size_t headAgeLimit = kHeadAgeLimit);
     // NOLINTEND(bugprone-easily-swappable-parameters)
 
-    /** Enqueue in arrival order. */
+    /** Enqueue in arrival order, stamping submittedAt if unset (the
+     *  deadline epoch). Fatal when a request with the same id is
+     *  still queued or active: outputs are keyed by id, and a second
+     *  copy would make the active count undercount. */
     void enqueue(ServeRequest req);
 
     /**
@@ -385,7 +414,8 @@ class ContinuousBatcher
      * prompt + generation budget fits the remaining KV budget
      * (@p kvTokensInUse already spoken for), placed by Algorithm 2
      * and returned in its balanced partition order. Admitted requests
-     * leave the queue; deferred ones stay, in arrival order.
+     * leave the queue and join the active set in the same critical
+     * section; deferred ones stay, in arrival order.
      *
      * Starvation control for the head of the line: if the planner
      * defers everything but the oldest request alone fits the whole
@@ -399,47 +429,54 @@ class ContinuousBatcher
     // NOLINTBEGIN(bugprone-easily-swappable-parameters): (slots free,
     // KV tokens in use) are counts in different units; the admission
     // tests fail on any transposition.
-    std::vector<ServeRequest> admit(std::size_t freeSlots,
-                                    std::size_t kvTokensInUse);
+    std::vector<QueuedRequest> admit(std::size_t freeSlots,
+                                     std::size_t kvTokensInUse);
     // NOLINTEND(bugprone-easily-swappable-parameters)
 
-    /** Force-admit the oldest request (caller checked pending() > 0):
-     *  the escape hatch when the planner defers everything while the
+    /** Admit the oldest request (caller checked pending() > 0). The
+     *  escape hatch when the planner defers everything while the
      *  engine is idle, so an oversized request faults in the KV pool
-     *  with a real diagnostic instead of starving forever. */
-    ServeRequest admitOne();
+     *  with a real diagnostic instead of starving forever; also the
+     *  reference engine's plain FIFO admission. */
+    QueuedRequest admitOne();
 
-    std::size_t
-    pending() const
-    {
-        return queue_.size();
-    }
+    /** Move a preempted request from the active set back to the
+     *  queue, just behind the current head (at the front when the
+     *  queue is empty), with the @p carry it resumes from. It keeps
+     *  priority over later arrivals — it already earned admission
+     *  once — but does not displace the aged head whose starvation
+     *  triggered the preemption, which would livelock the two. */
+    void requeue(ServeRequest req, ServeCarry carry);
+
+    /** Drop @p id from the active set: its request retired. */
+    void retire(std::int64_t id);
+
+    /** Mark the in-flight request @p id for cancellation at the next
+     *  sweep(); false when no queued or active request has that id. */
+    bool cancel(std::int64_t id);
+
+    /**
+     * The lifecycle pass at the top of a serving round. Queued
+     * requests that were cancelled or whose deadline expired leave
+     * the queue, and their terminal outputs (Cancelled / TimedOut,
+     * carry included) are appended to @p finished. Returns the other
+     * ids cancelled since the last sweep: the engine retires those
+     * among its active slots. Resets the head's age when the head
+     * itself is removed.
+     */
+    std::unordered_set<std::int64_t>
+    sweep(std::vector<RequestOutput> &finished);
+
+    /** Requests queued (submitted or requeued, not yet admitted). */
+    std::size_t pending() const;
+    /** Requests admitted and not yet retired or requeued. */
+    std::size_t active() const;
 
     /** True when the queue head has been passed over headAgeLimit
      *  rounds — the engine's trigger for KV-pressure preemption:
      *  waiting for natural retirement alone would starve the head
      *  behind long-running active sequences. */
-    bool
-    headAged() const
-    {
-        return !queue_.empty() && headDeferrals_ >= headAgeLimit_;
-    }
-
-    /** Requeue a preempted request just behind the current head (at
-     *  the front when the queue is empty). It keeps priority over
-     *  later arrivals — it already earned admission once — but does
-     *  not displace the aged head whose starvation triggered the
-     *  preemption, which would livelock the two. */
-    void requeue(ServeRequest req);
-
-    /** Remove every queued request matching @p pred (in order) and
-     *  return them — the cancellation/deadline hook. Resets the
-     *  head's age when the head itself is removed. */
-    std::vector<ServeRequest>
-    removeIf(const std::function<bool(const ServeRequest &)> &pred);
-
-    /** True when a queued request has id @p id. */
-    bool contains(std::int64_t id) const;
+    bool headAged() const;
 
     /**
      * Install a per-request demand oracle consulted instead of the
@@ -447,29 +484,46 @@ class ContinuousBatcher
      * aware admission, where a request whose prompt prefix is cached
      * only demands its novel tail (servingKvDemandNet against the
      * current cache contents). Pass an empty function to restore the
-     * default.
+     * default. The oracle runs under the batcher's lock and must not
+     * take another.
      */
     void setDemandOracle(
-        std::function<std::size_t(const ServeRequest &)> oracle)
+        std::function<std::size_t(const ServeRequest &)> oracle);
+
+    /** Scope of one driver call (Engine::step()): the engines hold it
+     *  for the whole step body, so debug builds panic when a second
+     *  thread drives the engine concurrently. Compiled away under
+     *  NDEBUG. */
+    DebugSerialGate::Scope
+    driverScope()
     {
-        MOELIGHT_ASSERT_SERIAL(gate_);
-        demandOracle_ = std::move(oracle);
+        return DebugSerialGate::Scope(driverGate_);
     }
 
     /** Default for headAgeLimit (EngineConfig::headAgeLimit). */
     static constexpr std::size_t kHeadAgeLimit = 8;
 
   private:
-    std::size_t kvDemand(const ServeRequest &req) const;
+    std::size_t kvDemand(const ServeRequest &req) const REQUIRES(mu_);
+    bool queued(std::int64_t id) const REQUIRES(mu_);
+    /** Pop the head into the active set (caller checked non-empty). */
+    QueuedRequest popHead() REQUIRES(mu_);
 
-    std::size_t microBatch_;
-    std::size_t kvBudgetTokens_;
-    std::size_t pageQuantum_;
-    std::size_t headAgeLimit_;
-    std::size_t headDeferrals_ = 0;
-    std::function<std::size_t(const ServeRequest &)> demandOracle_;
-    std::deque<ServeRequest> queue_;
-    mutable DebugSerialGate gate_;  ///< caller-serialization check
+    const std::size_t microBatch_;
+    const std::size_t kvBudgetTokens_;
+    const std::size_t pageQuantum_;
+    const std::size_t headAgeLimit_;
+
+    mutable Mutex mu_;
+    std::size_t headDeferrals_ GUARDED_BY(mu_) = 0;
+    std::function<std::size_t(const ServeRequest &)> demandOracle_
+        GUARDED_BY(mu_);
+    std::deque<QueuedRequest> queue_ GUARDED_BY(mu_);
+    /** Ids cancel()ed since the last sweep(). */
+    std::unordered_set<std::int64_t> cancelled_ GUARDED_BY(mu_);
+    /** Ids admitted and not yet retired or requeued. */
+    std::unordered_set<std::int64_t> active_ GUARDED_BY(mu_);
+    DebugSerialGate driverGate_;  ///< one driver thread at a time
 };
 
 } // namespace moelight

@@ -10,8 +10,8 @@
  * tokens stay bit-identical to an uncontended ReferenceEngine run,
  * all KV pages return to the pool, and the engine keeps serving fresh
  * requests afterwards. Also covers the request lifecycle (cancel,
- * deadline) on both engines and KV-pressure preemption with
- * bit-identical recompute.
+ * deadline, duplicate ids) on both engines and KV-pressure preemption
+ * with bit-identical recompute.
  */
 
 #include <gtest/gtest.h>
@@ -450,11 +450,9 @@ TEST(Lifecycle, CancelOnReferenceEngine)
         w, [&] { return std::make_unique<ReferenceEngine>(w); });
 }
 
-template <typename MakeEngine>
 void
-runDeadlineLifecycle(const ModelWeights &w, MakeEngine makeEngine)
+runDeadlineLifecycle(const ModelWeights &w, Engine &eng)
 {
-    auto eng = makeEngine();
     ServeRequest slow, fast;
     slow.id = 1;
     slow.prompt = makePrompt(w.cfg, 4, 31);
@@ -463,11 +461,11 @@ runDeadlineLifecycle(const ModelWeights &w, MakeEngine makeEngine)
     fast.id = 2;
     fast.prompt = makePrompt(w.cfg, 4, 32);
     fast.maxNewTokens = 3;   // no deadline
-    eng->submit(slow);
-    eng->submit(fast);
+    eng.submit(slow);
+    eng.submit(fast);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
-    std::vector<RequestOutput> outs = eng->drain();
+    std::vector<RequestOutput> outs = eng.drain();
     ASSERT_EQ(outs.size(), 2u);
     std::map<std::int64_t, RequestOutput> byId;
     for (auto &o : outs)
@@ -475,7 +473,7 @@ runDeadlineLifecycle(const ModelWeights &w, MakeEngine makeEngine)
     EXPECT_EQ(byId[1].finishReason, FinishReason::TimedOut);
     EXPECT_EQ(byId[2].finishReason, FinishReason::Length);
     EXPECT_EQ(byId[2].tokens, referenceTokens(w, fast));
-    EXPECT_TRUE(eng->idle());
+    EXPECT_TRUE(eng.idle());
 }
 
 TEST(Lifecycle, DeadlineOnPipelinedEngine)
@@ -484,17 +482,67 @@ TEST(Lifecycle, DeadlineOnPipelinedEngine)
     EngineConfig ec;
     ec.microBatch = 2;
     ec.kvPageTokens = 4;
-    auto make = [&] { return std::make_unique<PipelinedEngine>(w, ec); };
-    runDeadlineLifecycle(w, make);
-    // And pages are provably back.
-    PipelinedEngine probe(w, ec);
-    EXPECT_EQ(probe.kvUsedPages(), 0u);
+    PipelinedEngine eng(w, ec);
+    runDeadlineLifecycle(w, eng);
+    // And the engine that served the case has its pages back.
+    EXPECT_EQ(eng.kvUsedPages(), 0u);
 }
 
 TEST(Lifecycle, DeadlineOnReferenceEngine)
 {
     ModelWeights w = ModelWeights::random(tinyMixtral(), 22);
-    runDeadlineLifecycle(
+    ReferenceEngine eng(w);
+    runDeadlineLifecycle(w, eng);
+}
+
+template <typename MakeEngine>
+void
+runDuplicateIdLifecycle(const ModelWeights &w, MakeEngine makeEngine)
+{
+    // Outputs are keyed by id, so a second in-flight request with the
+    // same id is rejected at submit() — queued or active alike — or
+    // the engine would lose count of it (idle() with one copy still
+    // holding a slot). Reusing the id after retirement stays legal.
+    auto eng = makeEngine();
+    ServeRequest r;
+    r.id = 7;
+    r.prompt = makePrompt(w.cfg, 4, 51);
+    r.maxNewTokens = 3;
+    std::vector<int> want = referenceTokens(w, r);
+    eng->submit(r);
+    EXPECT_THROW(eng->submit(r), FatalError) << "id 7 is queued";
+    EXPECT_EQ(eng->pendingRequests(), 1u);
+    EXPECT_TRUE(eng->step().empty());  // admit + first token
+    EXPECT_EQ(eng->activeRequests(), 1u);
+    EXPECT_THROW(eng->submit(r), FatalError) << "id 7 is active";
+
+    std::vector<RequestOutput> outs = eng->drain();
+    ASSERT_EQ(outs.size(), 1u);
+    EXPECT_EQ(outs[0].tokens, want);
+    EXPECT_TRUE(eng->idle());
+
+    eng->submit(r);  // retired: the id is free again
+    outs = eng->drain();
+    ASSERT_EQ(outs.size(), 1u);
+    EXPECT_EQ(outs[0].tokens, want);
+    EXPECT_TRUE(eng->idle());
+}
+
+TEST(Lifecycle, DuplicateIdOnPipelinedEngine)
+{
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 24);
+    runDuplicateIdLifecycle(w, [&] {
+        EngineConfig ec;
+        ec.microBatch = 2;
+        ec.kvPageTokens = 4;
+        return std::make_unique<PipelinedEngine>(w, ec);
+    });
+}
+
+TEST(Lifecycle, DuplicateIdOnReferenceEngine)
+{
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 24);
+    runDuplicateIdLifecycle(
         w, [&] { return std::make_unique<ReferenceEngine>(w); });
 }
 

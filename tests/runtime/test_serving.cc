@@ -7,13 +7,16 @@
  * when a request retires early (float and int8/int4 quantized
  * caches), stop tokens must cut requests short, and the
  * ContinuousBatcher's Algorithm 2 admission must respect slots and
- * budget without dropping or reordering deferred work.
+ * budget without dropping or reordering deferred work, with every
+ * queued <-> active hand-off visible to cancel() in the same call.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <thread>
+#include <unordered_set>
 
 #include "common/rng.hh"
 #include "runtime/engine.hh"
@@ -479,13 +482,13 @@ TEST(ContinuousBatcher, AdmitsUpToFreeSlotsKeepsRestInOrder)
         r.maxNewTokens = 4;
         b.enqueue(std::move(r));
     }
-    std::vector<ServeRequest> first = b.admit(/*freeSlots=*/4, 0);
+    std::vector<QueuedRequest> first = b.admit(/*freeSlots=*/4, 0);
     EXPECT_EQ(first.size(), 4u);
     EXPECT_EQ(b.pending(), 2u);
     // Deferred requests keep arrival order.
-    std::vector<ServeRequest> second = b.admit(4, 0);
+    std::vector<QueuedRequest> second = b.admit(4, 0);
     ASSERT_EQ(second.size(), 2u);
-    std::vector<std::int64_t> ids{second[0].id, second[1].id};
+    std::vector<std::int64_t> ids{second[0].req.id, second[1].req.id};
     std::sort(ids.begin(), ids.end());
     // The two leftovers are the two shortest prompts (Algorithm 2
     // admits longest-first), i.e. ids 0 and 1.
@@ -505,7 +508,7 @@ TEST(ContinuousBatcher, BudgetDefersWithoutDropping)
         r.maxNewTokens = 4;
         b.enqueue(std::move(r));
     }
-    std::vector<ServeRequest> round = b.admit(/*freeSlots=*/4, 0);
+    std::vector<QueuedRequest> round = b.admit(/*freeSlots=*/4, 0);
     EXPECT_EQ(round.size(), 1u);
     EXPECT_EQ(b.pending(), 2u);
     // Budget still consumed by the in-flight request: nothing fits.
@@ -515,7 +518,7 @@ TEST(ContinuousBatcher, BudgetDefersWithoutDropping)
     EXPECT_EQ(b.admit(4, 0).size(), 1u);
     EXPECT_EQ(b.pending(), 1u);
     // admitOne is the no-starvation escape hatch.
-    EXPECT_EQ(b.admitOne().id, 2);
+    EXPECT_EQ(b.admitOne().req.id, 2);
     EXPECT_EQ(b.pending(), 0u);
 }
 
@@ -557,10 +560,10 @@ TEST(ContinuousBatcher, AgedHeadHoldsBackYoungerArrivals)
         b.enqueue(std::move(small));
         // 70 of 100 in use: the small fits the per-partition split,
         // the head does not — it gets passed over again.
-        std::vector<ServeRequest> got =
+        std::vector<QueuedRequest> got =
             b.admit(/*freeSlots=*/2, /*kvTokensInUse=*/70);
         ASSERT_EQ(got.size(), 1u) << "round " << round;
-        EXPECT_NE(got[0].id, 99);
+        EXPECT_NE(got[0].req.id, 99);
     }
     // Age limit hit: younger requests are now held back...
     ServeRequest late;
@@ -570,9 +573,9 @@ TEST(ContinuousBatcher, AgedHeadHoldsBackYoungerArrivals)
     b.enqueue(std::move(late));
     EXPECT_TRUE(b.admit(2, 70).empty());
     // ...until capacity drains enough for the head.
-    std::vector<ServeRequest> head = b.admit(2, /*kvTokensInUse=*/0);
+    std::vector<QueuedRequest> head = b.admit(2, /*kvTokensInUse=*/0);
     ASSERT_EQ(head.size(), 1u);
-    EXPECT_EQ(head[0].id, 99);
+    EXPECT_EQ(head[0].req.id, 99);
     // Younger flow resumes afterwards.
     EXPECT_EQ(b.admit(2, 0).size(), 1u);
     EXPECT_EQ(b.pending(), 0u);
@@ -626,9 +629,12 @@ TEST(ContinuousBatcher, HeadAgeResetsOnAdmissionAndRemoval)
 
     // Removing the starved head (cancel/timeout) hands the front to
     // a request that has earned no age of its own.
-    std::vector<ServeRequest> gone = b.removeIf(
-        [](const ServeRequest &r) { return r.id == 1; });
+    EXPECT_TRUE(b.cancel(1));
+    std::vector<RequestOutput> gone;
+    EXPECT_TRUE(b.sweep(gone).empty()) << "the id was queued, not active";
     ASSERT_EQ(gone.size(), 1u);
+    EXPECT_EQ(gone[0].finishReason, FinishReason::Cancelled);
+    EXPECT_EQ(b.pending(), 0u);
     EXPECT_FALSE(b.headAged());
 
     ServeRequest ok;
@@ -642,6 +648,94 @@ TEST(ContinuousBatcher, HeadAgeResetsOnAdmissionAndRemoval)
     // Admission resets the age for the next head.
     ASSERT_EQ(b.admit(2, 0).size(), 1u);
     EXPECT_FALSE(b.headAged());
+}
+
+TEST(ContinuousBatcher, AdmittedIdsAreActiveInSameCall)
+{
+    // The queued -> active hand-off is one critical section: an id
+    // admit() returns is already active, so a cancel() racing the
+    // engine's slot placement finds it, and it stays active until the
+    // engine retires it.
+    ContinuousBatcher b(/*microBatch=*/2, /*kvBudgetTokens=*/0);
+    for (int i = 0; i < 2; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt.assign(4, 1);
+        r.maxNewTokens = 4;
+        b.enqueue(std::move(r));
+    }
+    ASSERT_EQ(b.admit(/*freeSlots=*/2, 0).size(), 2u);
+    EXPECT_EQ(b.pending(), 0u);
+    EXPECT_EQ(b.active(), 2u);
+    EXPECT_TRUE(b.cancel(0));
+    EXPECT_TRUE(b.cancel(1));
+    b.retire(1);
+    EXPECT_EQ(b.active(), 1u);
+    EXPECT_FALSE(b.cancel(1)) << "retired";
+
+    // The sweep hands the cancelled active id to the engine; the one
+    // that retired first is not reported.
+    std::vector<RequestOutput> out;
+    EXPECT_EQ(b.sweep(out), (std::unordered_set<std::int64_t>{0}));
+    EXPECT_TRUE(out.empty());
+    b.retire(0);
+    EXPECT_FALSE(b.cancel(0));
+    EXPECT_EQ(b.active(), 0u);
+}
+
+TEST(ContinuousBatcher, RequeuedRequestKeepsItsCarry)
+{
+    // A preempted request goes back behind the head with the tokens
+    // it had generated; cancelled while queued, its output reports
+    // them.
+    ContinuousBatcher b(/*microBatch=*/1, /*kvBudgetTokens=*/0);
+    for (int i = 0; i < 2; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt.assign(4, 1);
+        r.maxNewTokens = 8;
+        b.enqueue(std::move(r));
+    }
+    QueuedRequest q = b.admitOne();
+    ASSERT_EQ(q.req.id, 0);
+    ServeCarry carry;
+    carry.saved = {5, 6};
+    carry.preemptions = 1;
+    b.requeue(std::move(q.req), std::move(carry));
+    EXPECT_EQ(b.active(), 0u);
+    EXPECT_EQ(b.pending(), 2u);
+
+    EXPECT_TRUE(b.cancel(0));
+    std::vector<RequestOutput> out;
+    EXPECT_TRUE(b.sweep(out).empty());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].id, 0);
+    EXPECT_EQ(out[0].finishReason, FinishReason::Cancelled);
+    EXPECT_EQ(out[0].tokens, (std::vector<int>{5, 6}));
+    EXPECT_EQ(out[0].preemptions, 1);
+    EXPECT_EQ(b.admitOne().req.id, 1);
+}
+
+TEST(ContinuousBatcher, DriverGateRejectsASecondDriverThread)
+{
+#ifdef NDEBUG
+    GTEST_SKIP() << "the driver gate compiles away under NDEBUG";
+#else
+    ContinuousBatcher b(/*microBatch=*/1, /*kvBudgetTokens=*/0);
+    auto driver = b.driverScope();
+    bool panicked = false;
+    std::thread second([&] {
+        try {
+            auto scope = b.driverScope();
+        } catch (const PanicError &) {
+            panicked = true;
+        }
+    });
+    second.join();
+    EXPECT_TRUE(panicked);
+    // Same-thread re-entry stays legal.
+    auto again = b.driverScope();
+#endif
 }
 
 TEST(ContinuousBatcher, DemandOracleOverridesPageRoundedDemand)
@@ -662,9 +756,9 @@ TEST(ContinuousBatcher, DemandOracleOverridesPageRoundedDemand)
         return servingKvDemandNet(req, /*cachedTokens=*/16,
                                   /*quantum=*/4);
     });
-    std::vector<ServeRequest> got = b.admit(2, 0);
+    std::vector<QueuedRequest> got = b.admit(2, 0);
     ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0].id, 7);
+    EXPECT_EQ(got[0].req.id, 7);
 }
 
 TEST(Serving, KvDemandNetRoundsNovelTailToQuantum)
@@ -692,9 +786,9 @@ TEST(ContinuousBatcher, HeadOfLineAdmittedWhenItFitsTotalBudget)
     big.prompt.assign(30, 1);
     big.maxNewTokens = 10;  // demand 40 > 80/8 but <= 80
     b.enqueue(std::move(big));
-    std::vector<ServeRequest> round = b.admit(/*freeSlots=*/8, 0);
+    std::vector<QueuedRequest> round = b.admit(/*freeSlots=*/8, 0);
     ASSERT_EQ(round.size(), 1u);
-    EXPECT_EQ(round[0].id, 42);
+    EXPECT_EQ(round[0].req.id, 42);
     EXPECT_EQ(b.pending(), 0u);
 }
 
